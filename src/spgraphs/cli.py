@@ -2,10 +2,11 @@
 verify, export.
 
 Exit codes: 0 on success or a passing check, 1 when a check fails (the
-witness is printed), 2 on usage or input errors. Every run prints the
-limits (and seed, where one applies) on stderr, and output is
-deterministic for fixed flags and seed. The environment variable
-SPG_LIMIT overrides the default geodesic limit.
+witness is printed), 2 on usage or input errors and when a resource guard
+(geodesic limit, work limit, isomorphism vertex cap) refuses the input.
+Every run prints the limits (and seed, where one applies) on stderr, and
+output is deterministic for fixed flags and seed. The environment
+variable SPG_LIMIT overrides the default geodesic limit.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .constructions import (
     parallel_paths,
     path_base,
     ConstructionResult,
+    _validate_witness_cycle,
 )
 from .geodesics import (
     DEFAULT_GEODESIC_LIMIT,
@@ -50,14 +52,13 @@ from .grid import (
     phi,
     phi_inverse,
 )
-from .isomorphism import find_isomorphism
+from .isomorphism import IsomorphismSizeError, find_isomorphism
 from .patterns import DEFAULT_WORK_LIMIT, WorkLimitExceeded
 from .spg import (
-    SpGraph,
     SpgStructureError,
     build_spg,
-    difference_index,
     spg_from_json,
+    spg_of_reduced,
     spg_to_dot,
     spg_to_json,
 )
@@ -127,6 +128,12 @@ def _write_or_print(payload: str, out: str | None) -> None:
             handle.write(payload + "\n")
 
 
+def _instance_json(inst: BaseInstance, **extra: str) -> str:
+    graph = json.loads(graph_to_json(inst.graph))
+    payload = {"source": inst.source, "target": inst.target, "graph": graph, **extra}
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
 def _report_exit(report: CheckReport) -> int:
     print(report)
     return 0 if report.passed else 1
@@ -142,10 +149,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         if red.collapsed:
             print("reduced instance collapsed to a single vertex; "
                   "the shortest path graph is one lone geodesic")
-            h = SpGraph(((red.source,),), {}, 0)
-        else:
-            inst = red.instance
-            h = build_spg(inst, limit=args.limit)
+        h = spg_of_reduced(red, limit=args.limit)
     else:
         h = build_spg(inst, limit=args.limit)
     print(f"geodesics={h.num_vertices} edges={h.num_edges} d={h.d}")
@@ -196,41 +200,23 @@ def _build_construction(args: argparse.Namespace) -> ConstructionResult:
 def cmd_construct(args: argparse.Namespace) -> int:
     result = _build_construction(args)
     inst = result.instance
-    payload = json.dumps(
-        {
-            "name": result.name,
-            "source": inst.source,
-            "target": inst.target,
-            "graph": json.loads(graph_to_json(inst.graph)),
-        },
-        sort_keys=True,
-        indent=2,
-    )
-    _write_or_print(payload, args.out)
+    _write_or_print(_instance_json(inst, name=result.name), args.out)
     if not args.check:
         return 0
-    h = build_spg(inst, limit=args.limit)
     if result.predicted is not None:
+        h = build_spg(inst, limit=args.limit)
         ok = find_isomorphism(h.to_graph(), result.predicted) is not None
         verdict = "pass" if ok else "FAIL"
         print(f"check {result.name}: shortest path graph as predicted: {verdict}")
         return 0 if ok else 1
     # witness-style construction: the listed geodesics must induce a cycle
     witness = result.witness or ()
-    have = set(h.geodesics)
-    missing = [w for w in witness if w not in have]
-    if missing:
-        print(f"check {result.name}: FAIL (witness geodesic absent: {missing[0]})")
+    try:
+        _validate_witness_cycle(inst, witness)
+    except GraphError as exc:
+        print(f"check {result.name}: FAIL ({exc})")
         return 1
-    n = len(witness)
-    for i in range(n):
-        for j in range(i + 1, n):
-            adjacent = difference_index(witness[i], witness[j]) is not None
-            consecutive = j - i == 1 or (i == 0 and j == n - 1)
-            if adjacent != consecutive:
-                print(f"check {result.name}: FAIL (witness pair {i},{j} breaks the cycle)")
-                return 1
-    print(f"check {result.name}: witness induces a {n}-cycle: pass")
+    print(f"check {result.name}: witness induces a {len(witness)}-cycle: pass")
     return 0
 
 
@@ -273,17 +259,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         return 0
     if sub == "base":
         spec = _parse_dims(args.dims)
-        inst = grid_base(spec)
-        payload = json.dumps(
-            {
-                "source": inst.source,
-                "target": inst.target,
-                "graph": json.loads(graph_to_json(inst.graph)),
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        _write_or_print(payload, args.out)
+        _write_or_print(_instance_json(grid_base(spec)), args.out)
         return 0
     if sub == "staircase":
         return _report_exit(check_staircase(args.n1, args.n2, limit=args.limit))
@@ -545,6 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         NoGeodesicError,
         GeodesicOverflowError,
         WorkLimitExceeded,
+        IsomorphismSizeError,
         NotInImageError,
         OSError,
         KeyError,

@@ -153,23 +153,25 @@ def count_geodesics(inst: BaseInstance | GeodesicDag) -> int:
 
 
 def iter_geodesics(inst: BaseInstance | GeodesicDag) -> Iterator[Geodesic]:
-    """Yield geodesics in lexicographic vertex-sequence order."""
+    """Yield geodesics in lexicographic vertex-sequence order.
+
+    An explicit stack of successor iterators, one per path vertex, keeps
+    long distances clear of the interpreter's recursion limit."""
     dag = _as_dag(inst)
     succ = dag.successors
     target = dag.instance.target
-    path: list[str] = [dag.instance.source]
-
-    def walk() -> Iterator[Geodesic]:
-        head = path[-1]
-        if head == target:
-            yield tuple(path)
-            return
-        for w in succ[head]:
-            path.append(w)
-            yield from walk()
+    path = [dag.instance.source]
+    pending = [iter(succ[path[0]])]
+    while pending:
+        w = next(pending[-1], None)
+        if w is None:
+            pending.pop()
             path.pop()
-
-    yield from walk()
+        elif w == target:
+            yield (*path, w)
+        else:
+            path.append(w)
+            pending.append(iter(succ[w]))
 
 
 def guarded_count(dag: GeodesicDag, limit: int) -> int:

@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -41,7 +41,6 @@ from .graphs import (
     BaseInstance,
     Graph,
     GraphError,
-    cartesian_product,
     connected_components,
     distances,
     girth,
@@ -50,6 +49,7 @@ from .graphs import (
 from .grid import (
     GridSpec,
     cayley_adjacent_transpositions,
+    coord_name,
     grid_base,
     iter_words,
     MoveSequence,
@@ -299,15 +299,35 @@ def check_complete_iff_same_index(
     )
 
 
-def _sub_spg(h: SpGraph, members: tuple[int, ...]) -> SpGraph:
-    renumber = {old: new for new, old in enumerate(members)}
-    kept = set(members)
-    edges = {
-        (renumber[a], renumber[b]): pos
-        for (a, b), pos in h.edge_index.items()
-        if a in kept and b in kept
+def _is_product(
+    h: SpGraph, members: tuple[int, ...], edges: list[tuple[int, int]], i: int,
+    left: SpGraph, right: SpGraph,
+) -> bool:
+    """Whether cutting each member geodesic at position i into a prefix (a
+    vertex of ``left``) and a suffix (a vertex of ``right``) maps the group
+    and its inner ``edges`` one to one onto the Cartesian product."""
+    lpos = {geo: t for t, geo in enumerate(left.geodesics)}
+    rpos = {geo: t for t, geo in enumerate(right.geodesics)}
+    pair = {
+        g: (lpos.get(h.geodesics[g][: i + 1]), rpos.get(h.geodesics[g][i:]))
+        for g in members
     }
-    return SpGraph([h.geodesics[i] for i in members], edges)
+    # total, injective and onto the product's vertices
+    cells = set(product(range(left.num_vertices), range(right.num_vertices)))
+    if len(members) != len(cells) or set(pair.values()) != cells:
+        return False
+    for u, w in edges:
+        (lu, ru), (lw, rw) = pair[u], pair[w]
+        if lu == lw:
+            step = (min(ru, rw), max(ru, rw)) in right.edge_index
+        else:
+            step = ru == rw and (min(lu, lw), max(lu, lw)) in left.edge_index
+        if not step:
+            return False
+    # every inner edge is a product edge, so equal counts leave none missing
+    return len(edges) == (
+        left.num_edges * right.num_vertices + left.num_vertices * right.num_edges
+    )
 
 
 def check_decomposition(
@@ -320,7 +340,8 @@ def check_decomposition(
     there; edges cross groups exactly at difference index i and form
     partial matchings between group pairs, and each group (given the base
     instance) is the Cartesian product of the two one-sided shortest path
-    graphs through its middle vertex. With ``i=None`` every interior
+    graphs through its middle vertex, certified by cutting every geodesic
+    there into a prefix and a suffix. With ``i=None`` every interior
     position is checked."""
     inst = obj if isinstance(obj, BaseInstance) else None
     h = _as_spg(obj, limit=limit)
@@ -354,12 +375,14 @@ def check_decomposition(
         stats["indices"] = int(stats["indices"]) + 1
         if inst is None:
             continue
+        inner: list[list[tuple[int, int]]] = [[] for _ in dec.components]
+        for (u, w), pos in h.edge_index.items():
+            if pos != idx:
+                inner[group_of[u]].append((u, w))
         for k, v in enumerate(dec.middle_vertices):
-            comp_graph = _sub_spg(h, dec.components[k]).to_graph()
             left = build_spg(BaseInstance(inst.graph, inst.source, v), limit=limit)
             right = build_spg(BaseInstance(inst.graph, v, inst.target), limit=limit)
-            prod = cartesian_product(left.to_graph("l"), right.to_graph("r"))
-            if find_isomorphism(comp_graph, prod) is None:
+            if not _is_product(h, dec.components[k], inner[k], idx, left, right):
                 return CheckReport(
                     name,
                     False,
@@ -626,6 +649,14 @@ def check_grid_embedding(
     lexicographic word list), so the final comparison certifies an
     isomorphism rather than searching for one.
     """
+    return _embed_grid(spec, limit)[0]
+
+
+def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np.ndarray]:
+    """The body of ``check_grid_embedding``: its report, the ``phi``
+    coordinates of the lexicographic words, and the word edges packed as
+    ``u * words + v`` with ``u < v``, sorted. Only a passing report vouches
+    for the arrays."""
     name = "grid-embedding-" + "x".join(str(n) for n in spec.dims)
     count = spec.word_count()
     if count > limit:
@@ -634,11 +665,12 @@ def check_grid_embedding(
     total, n_moves = words.shape
     dim = spec.embedding_dim
     stats: dict[str, object] = {"words": total, "dimension": dim}
-
-    def fail(witness: str) -> CheckReport:
-        return CheckReport(name, False, witness, stats)
-
     coords = phi_batch(spec, words)
+    empty = np.empty(0, dtype=np.int64)
+
+    def fail(witness: str) -> tuple[CheckReport, np.ndarray, np.ndarray]:
+        return CheckReport(name, False, witness, stats), coords, empty
+
     wpow = (spec.m + 1) ** np.arange(n_moves - 1, -1, -1, dtype=np.int64)
     wcodes = words.astype(np.int64) @ wpow
     if total > 1 and not bool(np.all(np.diff(wcodes) > 0)):
@@ -692,7 +724,6 @@ def check_grid_embedding(
                 )
         eu_parts.append(u)
         ev_parts.append(v)
-    empty = np.empty(0, dtype=np.int64)
     eu = np.concatenate(eu_parts) if eu_parts else empty
     ev = np.concatenate(ev_parts) if ev_parts else empty
     word_edges = np.sort(eu * total + ev)
@@ -740,30 +771,36 @@ def check_grid_embedding(
     spg_edges = np.sort(np.minimum(ru, rw) * total + np.maximum(ru, rw))
     if not np.array_equal(spg_edges, word_edges):
         return fail("shortest path graph edges differ from word switches")
-    return CheckReport(name, True, None, stats)
+    return CheckReport(name, True, None, stats), coords, word_edges
 
 
 def check_staircase(
     n1: int, n2: int, *, limit: int = DEFAULT_GEODESIC_LIMIT
 ) -> CheckReport:
-    """The two-axis grid's shortest path graph is the staircase graph, with
-    the binomial vertex count."""
+    """The two-axis grid's shortest path graph is the staircase graph.
+
+    The grid-embedding check certifies the shortest path graph as the
+    word graph under ``phi``. For two axes the image of ``phi`` is exactly
+    the weakly decreasing vectors, so each word names its staircase vertex
+    by its coordinates, and the staircase must have exactly those vertices
+    and exactly the word edges between them.
+    """
     name = f"staircase-{n1}x{n2}"
-    h = build_spg(grid_base(GridSpec((n1, n2))), limit=limit)
+    report, coords, word_edges = _embed_grid(GridSpec((n1, n2)), limit)
+    stats = {**report.stats, "vertices": report.stats["words"]}
+    if not report.passed:
+        return CheckReport(name, False, report.witness, stats)
     stair = staircase(n1, n2)
-    expected = math.comb(n1 + n2, n2)
-    stats = {"vertices": expected}
-    if h.num_vertices != expected or stair.num_vertices != expected:
-        return CheckReport(
-            name,
-            False,
-            f"vertex counts {h.num_vertices} / {stair.num_vertices}, "
-            f"expected {expected}",
-            stats,
-        )
-    if find_isomorphism(h.to_graph(), stair) is None:
-        return CheckReport(name, False, "not isomorphic to the staircase", stats)
-    return CheckReport(name, True, None, stats)
+    names = [coord_name(row) for row in coords.tolist()]
+    u, w = np.divmod(word_edges, len(names))
+    mapped = {frozenset((names[a], names[b])) for a, b in zip(u.tolist(), w.tolist())}
+    if sorted(names) != sorted(stair.vertices):
+        witness = "staircase vertices differ from the phi image"
+    elif mapped != {frozenset(e) for e in stair.edges}:
+        witness = "staircase edges differ from the word switches"
+    else:
+        return CheckReport(name, True, None, stats)
+    return CheckReport(name, False, witness, stats)
 
 
 def check_cayley(m: int, *, limit: int = DEFAULT_GEODESIC_LIMIT) -> CheckReport:

@@ -126,6 +126,23 @@ def test_construct_oddhost_check(capsys):
     assert "witness induces a 7-cycle: pass" in out
 
 
+def test_construct_oddhost_check_fails_on_a_broken_witness(capsys, monkeypatch):
+    import dataclasses
+
+    import spgraphs.cli
+
+    real = spgraphs.cli.odd_cycle_host_base
+
+    def dropped_geodesic(p):
+        result = real(p)
+        return dataclasses.replace(result, witness=result.witness[:-1])
+
+    monkeypatch.setattr(spgraphs.cli, "odd_cycle_host_base", dropped_geodesic)
+    code, out, _ = _run(capsys, ["construct", "oddhost", "3", "--check"])
+    assert code == 1
+    assert "check odd-cycle-host(7): FAIL (witness pair (0, 5) breaks the cycle" in out
+
+
 def test_construct_rejects_odd_cycle_lengths(capsys):
     code, _, err = _run(capsys, ["construct", "cycle", "7"])
     assert code == 2
@@ -199,6 +216,12 @@ def test_cayley_check_and_export(capsys, tmp_path):
     code, _, _ = _run(capsys, ["cayley", "3", "--out", str(out_file)])
     assert code == 0
     assert len(json.loads(out_file.read_text())["vertices"]) == 6
+
+
+def test_isomorphism_cap_is_a_usage_error(capsys):
+    code, _, err = _run(capsys, ["cayley", "6", "--check"])
+    assert code == 2
+    assert "error: isomorphism search capped at 200 vertices" in err
 
 
 def test_verify_corpus_table(capsys):

@@ -50,6 +50,11 @@ def test_count_and_enumerate_small():
     ]
 
 
+def test_enumeration_reaches_past_the_recursion_limit():
+    inst = BaseInstance(path_graph(1500), "0", "1500")
+    assert enumerate_geodesics(inst) == [tuple(str(t) for t in range(1501))]
+
+
 def test_disconnected_endpoints_raise():
     g = Graph(["a", "b"], [])
     with pytest.raises(NoGeodesicError):

@@ -7,6 +7,7 @@ that a correct shortest path graph could never produce.
 """
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -200,6 +201,42 @@ def test_decomposition_with_instance_checks_products():
         check_decomposition(inst, 6)
 
 
+@pytest.mark.parametrize("damage", ["drop", "move", "add"])
+def test_decomposition_fails_when_a_factor_is_not_the_product(monkeypatch, damage):
+    # "drop" leaves a geodesic of the group without its prefix; "move" keeps
+    # the edge count and breaks the edge map; "add" keeps every mapped edge
+    # and breaks the count
+    import spgraphs.verify
+
+    real = spgraphs.verify.build_spg
+
+    def damaged(inst, **kwargs):
+        h = real(inst, **kwargs)
+        if (inst.source, inst.target) == ("c0", "c3") or h.num_vertices < 4:
+            return h
+        geodesics, edges = h.geodesics, dict(h.edge_index)
+        if damage == "drop":
+            geodesics = geodesics[:-1]
+            edges = {e: pos for e, pos in edges.items() if max(e) < len(geodesics)}
+        else:
+            first = min(edges)
+            pos = edges.pop(first) if damage == "move" else edges[first]
+            fresh = next(
+                e for e in combinations(range(h.num_vertices), 2)
+                if e not in edges and e != first
+            )
+            edges[fresh] = pos
+        return SpGraph(geodesics, edges)
+
+    monkeypatch.setattr(spgraphs.verify, "build_spg", damaged)
+    report = check_decomposition(hypercube_base(3).instance)
+    assert not report.passed
+    assert report.witness == (
+        "group through x1 at position 1 is not the product "
+        "of the one-sided shortest path graphs"
+    )
+
+
 def test_decomposition_is_vacuous_for_short_instances():
     inst = BaseInstance(Graph(["a", "b"], [("a", "b")]), "a", "b")
     assert check_decomposition(inst).passed
@@ -293,9 +330,34 @@ def test_grid_embedding_check_respects_the_limit():
 
 
 def test_staircase_and_cayley_checks():
-    assert check_staircase(2, 2).passed
+    for n1, n2 in ((2, 2), (6, 6)):
+        assert check_staircase(n1, n2).passed
     assert check_cayley(3).passed
     assert check_tournament_bijection(3).passed
+
+
+@pytest.mark.parametrize(
+    "damage, witness",
+    [
+        ("lose an edge", "staircase edges differ from the word switches"),
+        ("gain a vertex", "staircase vertices differ from the phi image"),
+    ],
+)
+def test_staircase_check_fails_on_a_damaged_staircase(monkeypatch, damage, witness):
+    import spgraphs.verify
+
+    real = spgraphs.verify.staircase
+
+    def damaged(n1, n2):
+        g = real(n1, n2)
+        if damage == "lose an edge":
+            return Graph(g.vertices, g.sorted_edges()[1:])
+        return Graph(g.vertices + ("(9,9,9)",), g.edges)
+
+    monkeypatch.setattr(spgraphs.verify, "staircase", damaged)
+    report = check_staircase(3, 3)
+    assert not report.passed
+    assert report.witness == witness
 
 
 # -- report plumbing ---------------------------------------------------------------
