@@ -1,9 +1,10 @@
 """Base constructions with known outcomes, checked on the spot.
 
 Each construction returns a base instance together with the graph its
-shortest path graph is predicted to be isomorphic to. This script realizes
-a sample of every family and confirms the prediction by isomorphism
-search. Run with ``python3 demos/families.py``.
+shortest path graph is predicted to be, and a map naming each geodesic by
+its predicted vertex. This script realizes a sample of every family and
+confirms the prediction by renaming the geodesics through that map. Run
+with ``python3 demos/families.py``.
 """
 
 from spgraphs import (
@@ -12,7 +13,7 @@ from spgraphs import (
     complete_base,
     even_cycle_base,
     hypercube_base,
-    is_isomorphic,
+    matches_prediction,
     odd_cycle_host_base,
     one_sum,
     parallel_paths,
@@ -22,7 +23,8 @@ from spgraphs import (
 
 def show(result) -> None:
     h = build_spg(result.instance)
-    verdict = "as predicted" if is_isomorphic(h.to_graph(), result.predicted) else "MISMATCH"
+    matched = matches_prediction(h, result.predicted, result.vertex_of)
+    verdict = "as predicted" if matched else "MISMATCH"
     print(
         f"  {result.name:22s} -> {h.num_vertices:3d} vertices,"
         f" {h.num_edges:3d} edges  ({verdict})"

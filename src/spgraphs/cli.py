@@ -26,6 +26,7 @@ from .constructions import (
     path_base,
     ConstructionResult,
     _validate_witness_cycle,
+    matches_prediction,
 )
 from .geodesics import (
     DEFAULT_GEODESIC_LIMIT,
@@ -35,7 +36,6 @@ from .geodesics import (
 )
 from .graphs import (
     BaseInstance,
-    Graph,
     GraphError,
     graph_from_edge_list,
     graph_from_json,
@@ -52,7 +52,7 @@ from .grid import (
     phi,
     phi_inverse,
 )
-from .isomorphism import IsomorphismSizeError, find_isomorphism
+from .isomorphism import IsomorphismSizeError
 from .patterns import DEFAULT_WORK_LIMIT, WorkLimitExceeded
 from .spg import (
     SpgStructureError,
@@ -205,7 +205,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         return 0
     if result.predicted is not None:
         h = build_spg(inst, limit=args.limit)
-        ok = find_isomorphism(h.to_graph(), result.predicted) is not None
+        ok = matches_prediction(h, result.predicted, result.vertex_of)
         verdict = "pass" if ok else "FAIL"
         print(f"check {result.name}: shortest path graph as predicted: {verdict}")
         return 0 if ok else 1
@@ -430,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--out", help="write reduction JSON here (default: stdout)")
-    add_limit(p)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("construct", help="emit a named base instance")
@@ -450,12 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     g = gridsub.add_parser("phi", help="embed a move sequence")
     g.add_argument("--dims", required=True)
     g.add_argument("--seq", required=True)
-    add_limit(g)
     g.set_defaults(func=cmd_grid)
     g = gridsub.add_parser("unphi", help="invert the embedding")
     g.add_argument("--dims", required=True)
     g.add_argument("--coords", required=True)
-    add_limit(g)
     g.set_defaults(func=cmd_grid)
     g = gridsub.add_parser("enum", help="list all move sequences")
     g.add_argument("--dims", required=True)
@@ -464,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = gridsub.add_parser("base", help="emit the grid instance as JSON")
     g.add_argument("--dims", required=True)
     g.add_argument("--out")
-    add_limit(g)
     g.set_defaults(func=cmd_grid)
     g = gridsub.add_parser("staircase", help="check the two-axis staircase")
     g.add_argument("--n1", type=int, required=True)
@@ -498,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spg", required=True)
     p.add_argument("--out", help="write DOT here (default: stdout)")
     p.add_argument("--name", default="spg", help="DOT graph name")
-    add_limit(p)
     p.set_defaults(func=cmd_export)
 
     return parser
@@ -508,7 +503,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.limit is None:
+        # subcommands without --limit still report the limit in effect
+        if getattr(args, "limit", None) is None:
             args.limit = _default_limit()
         if not hasattr(args, "seed_in_effect"):
             args.seed_in_effect = None

@@ -3,15 +3,23 @@ operations (disjoint-union gadget, one-sum, two-sum) whose effect on the
 shortest path graph is predictable from the parts.
 
 Each builder returns the instance together with its predicted shortest
-path graph (an explicit Graph), so callers can verify the prediction
-against a direct construction. The odd-cycle host instead returns witness
-geodesics that induce the odd cycle; its full shortest path graph is
-larger.
+path graph (an explicit Graph) and the correspondence that names each
+geodesic of the instance by its predicted vertex, so callers can verify
+the prediction against a direct construction by renaming, without any
+isomorphism search. The odd-cycle host instead returns witness geodesics
+that induce the odd cycle; its full shortest path graph is larger.
+
+>>> result = hypercube_base(2)
+>>> result.vertex_of(("c0", "x1", "c1", "y2", "c2"))
+'01'
+>>> matches_prediction(build_spg(result.instance), result.predicted, result.vertex_of)
+True
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .geodesics import (
     Geodesic,
@@ -23,16 +31,14 @@ from .graphs import (
     BaseInstance,
     Graph,
     GraphError,
-    cartesian_product,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     distances,
     empty_graph,
     hypercube_graph,
     path_graph,
 )
-from .spg import build_spg, difference_index, spg_from_geodesics
+from .spg import SpGraph, build_spg, difference_index, spg_from_geodesics
 
 CASE_MATCHING = "matching"
 CASE_THROUGH_X = "through-x"
@@ -42,12 +48,27 @@ CASE_OVERLAP = "overlap"
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """An instance plus what its shortest path graph should look like."""
+    """An instance plus what its shortest path graph should look like.
+
+    ``vertex_of`` names each geodesic of the instance by the vertex of
+    ``predicted`` it stands for; by default the name is the geodesic
+    itself, joined with ``|``.
+    """
 
     instance: BaseInstance
     predicted: Graph | None
     name: str
     witness: tuple[Geodesic, ...] | None = None
+    vertex_of: Callable[[Geodesic], str] = "|".join
+
+
+def matches_prediction(h: SpGraph, predicted: Graph, vertex_of: Callable[[Geodesic], str]) -> bool:
+    """Whether renaming every geodesic of ``h`` by ``vertex_of`` turns ``h``
+    into exactly ``predicted``. A naming that is not injective fails."""
+    names = [vertex_of(geo) for geo in h.geodesics]
+    if len(set(names)) != len(names):
+        return False
+    return Graph(names, [(names[i], names[j]) for i, j in h.edge_index]) == predicted
 
 
 def parallel_paths(t: int, length: int) -> ConstructionResult:
@@ -69,7 +90,13 @@ def parallel_paths(t: int, length: int) -> ConstructionResult:
         edges += list(zip(chain, chain[1:]))
         edges.append((chain[-1], "b"))
     inst = BaseInstance(Graph(verts, edges), "a", "b")
-    return ConstructionResult(inst, empty_graph(t), f"parallel-paths({t},{length})")
+    return ConstructionResult(
+        inst,
+        empty_graph(t),
+        f"parallel-paths({t},{length})",
+        # a geodesic is its path: p{j}_1 after a names vertex j - 1
+        vertex_of=lambda geo: str(int(geo[1][1:].partition("_")[0]) - 1),
+    )
 
 
 def path_base(k: int) -> ConstructionResult:
@@ -88,7 +115,13 @@ def path_base(k: int) -> ConstructionResult:
     edges += [(f"u{i - 1}", f"w{i}") for i in range(1, hi + 1)]
     edges += [(f"w{i}", "b") for i in range(hi + 1)]
     inst = BaseInstance(Graph(verts, edges), "a", "b")
-    return ConstructionResult(inst, path_graph(k), f"path({k})")
+    # route (a, u_i, w_j, b) is the (i + j)-th along the path
+    return ConstructionResult(
+        inst,
+        path_graph(k),
+        f"path({k})",
+        vertex_of=lambda geo: str(int(geo[1][1:]) + int(geo[2][1:])),
+    )
 
 
 def complete_base(n: int) -> ConstructionResult:
@@ -99,7 +132,9 @@ def complete_base(n: int) -> ConstructionResult:
     verts = ["a", "b"] + [f"m{i}" for i in range(n)]
     edges = [("a", f"m{i}") for i in range(n)] + [(f"m{i}", "b") for i in range(n)]
     inst = BaseInstance(Graph(verts, edges), "a", "b")
-    return ConstructionResult(inst, complete_graph(n), f"complete({n})")
+    return ConstructionResult(
+        inst, complete_graph(n), f"complete({n})", vertex_of=lambda geo: geo[1][1:]
+    )
 
 
 def even_cycle_base(n: int) -> ConstructionResult:
@@ -117,7 +152,15 @@ def even_cycle_base(n: int) -> ConstructionResult:
     edges += [(f"u{i}", f"w{i}") for i in range(n)]
     edges += [(f"u{i}", f"w{(i + 1) % n}") for i in range(n)]
     inst = BaseInstance(Graph(verts, edges), "a", "b")
-    return ConstructionResult(inst, cycle_graph(2 * n), f"even-cycle({2 * n})")
+
+    def vertex_of(geo: Geodesic) -> str:
+        # (a, u_i, w_i, b) is cycle vertex 2i, (a, u_i, w_{i+1}, b) is 2i + 1
+        i, j = int(geo[1][1:]), int(geo[2][1:])
+        return str(2 * i + (j != i))
+
+    return ConstructionResult(
+        inst, cycle_graph(2 * n), f"even-cycle({2 * n})", vertex_of=vertex_of
+    )
 
 
 def odd_cycle_host_base(p: int) -> ConstructionResult:
@@ -198,7 +241,13 @@ def hypercube_base(k: int) -> ConstructionResult:
             (f"y{i}", f"c{i}"),
         ]
     inst = BaseInstance(Graph(verts, edges), "c0", f"c{k}")
-    return ConstructionResult(inst, hypercube_graph(k), f"hypercube({k})")
+    # a geodesic is its choice of x (0) or y (1) in each square
+    return ConstructionResult(
+        inst,
+        hypercube_graph(k),
+        f"hypercube({k})",
+        vertex_of=lambda geo: "".join("01"[v[0] == "y"] for v in geo[1::2]),
+    )
 
 
 def _fresh(base: str, used: set[str]) -> str:
@@ -212,13 +261,18 @@ def extend_distance(inst: BaseInstance, new_d: int) -> BaseInstance:
     """Append a pendant tail behind the target so the endpoint distance
     becomes ``new_d``; every geodesic gains the same forced suffix, leaving
     the shortest path graph unchanged."""
+    return _extend(inst, new_d)[0]
+
+
+def _extend(inst: BaseInstance, new_d: int) -> tuple[BaseInstance, tuple[str, ...]]:
+    """``extend_distance`` plus the tail it appended, in path order."""
     d = distances(inst.graph, inst.source)[inst.target]
     if d == float("inf"):
         raise NoGeodesicError("endpoints are disconnected")
     if new_d < d:
         raise GraphError(f"cannot shorten distance {int(d)} to {new_d}")
     if new_d == d:
-        return inst
+        return inst, ()
     used = set(inst.graph.vertices)
     tail = []
     for i in range(1, new_d - int(d) + 1):
@@ -227,7 +281,7 @@ def extend_distance(inst: BaseInstance, new_d: int) -> BaseInstance:
         tail.append(name)
     verts = list(inst.graph.vertices) + tail
     edges = list(inst.graph.edges) + list(zip([inst.target] + tail, tail))
-    return BaseInstance(Graph(verts, edges), inst.source, tail[-1])
+    return BaseInstance(Graph(verts, edges), inst.source, tail[-1]), tuple(tail)
 
 
 def union_base(i1: BaseInstance, i2: BaseInstance) -> ConstructionResult:
@@ -237,29 +291,29 @@ def union_base(i1: BaseInstance, i2: BaseInstance) -> ConstructionResult:
     tails), then a new source is joined to both old sources and both old
     targets to a new target. Geodesics stay inside one side, and geodesics
     of different sides differ everywhere, so the shortest path graph is
-    the disjoint union of the two sides' shortest path graphs.
+    the disjoint union of the two sides' shortest path graphs. The
+    prediction names each side's geodesic by the glued geodesic it
+    becomes: new source, the tagged side geodesic and tail, new target.
     """
-    s1 = build_spg(i1)
-    s2 = build_spg(i2)
     d1 = distances(i1.graph, i1.source)[i1.target]
     d2 = distances(i2.graph, i2.source)[i2.target]
     if d1 == float("inf") or d2 == float("inf"):
         raise NoGeodesicError("both sides need connected endpoints")
     target_d = int(max(d1, d2))
-    e1 = extend_distance(i1, target_d)
-    e2 = extend_distance(i2, target_d)
-    verts = ["a", "b"] + [f"L:{v}" for v in e1.graph.vertices] + [f"R:{v}" for v in e2.graph.vertices]
-    edges = [(f"L:{u}", f"L:{v}") for u, v in e1.graph.edges]
-    edges += [(f"R:{u}", f"R:{v}") for u, v in e2.graph.edges]
-    edges += [
-        ("a", f"L:{e1.source}"),
-        ("a", f"R:{e2.source}"),
-        (f"L:{e1.target}", "b"),
-        (f"R:{e2.target}", "b"),
-    ]
+    verts, edges = ["a", "b"], []
+    names: list[str] = []
+    pairs: list[tuple[str, str]] = []
+    for tag, side in (("L", i1), ("R", i2)):
+        ext, tail = _extend(side, target_d)
+        verts += [f"{tag}:{v}" for v in ext.graph.vertices]
+        edges += [(f"{tag}:{u}", f"{tag}:{v}") for u, v in ext.graph.edges]
+        edges += [("a", f"{tag}:{ext.source}"), (f"{tag}:{ext.target}", "b")]
+        h = build_spg(side)
+        glued = ["|".join(("a", *(f"{tag}:{v}" for v in geo + tail), "b")) for geo in h.geodesics]
+        names += glued
+        pairs += [(glued[i], glued[j]) for i, j in h.edge_index]
     inst = BaseInstance(Graph(verts, edges), "a", "b")
-    predicted = disjoint_union(s1.to_graph(), s2.to_graph())
-    return ConstructionResult(inst, predicted, "union")
+    return ConstructionResult(inst, Graph(names, pairs), "union")
 
 
 def one_sum(i1: BaseInstance, i2: BaseInstance) -> ConstructionResult:
@@ -268,10 +322,9 @@ def one_sum(i1: BaseInstance, i2: BaseInstance) -> ConstructionResult:
     The cut vertex lies on every geodesic of the glued instance, so
     geodesics are exactly prefix-suffix concatenations and the shortest
     path graph is the Cartesian product of the parts' shortest path
-    graphs.
+    graphs, its vertices named by the concatenated geodesics. Both parts
+    need connected endpoints.
     """
-    s1 = build_spg(i1)
-    s2 = build_spg(i2)
 
     def left(v: str) -> str:
         return "c" if v == i1.target else f"L:{v}"
@@ -279,13 +332,16 @@ def one_sum(i1: BaseInstance, i2: BaseInstance) -> ConstructionResult:
     def right(v: str) -> str:
         return "c" if v == i2.source else f"R:{v}"
 
-    verts = [left(v) for v in i1.graph.vertices]
-    verts += [right(v) for v in i2.graph.vertices if v != i2.source]
-    edges = [(left(u), left(v)) for u, v in i1.graph.edges]
-    edges += [(right(u), right(v)) for u, v in i2.graph.edges]
-    inst = BaseInstance(Graph(verts, edges), left(i1.source), right(i2.target))
-    predicted = cartesian_product(s1.to_graph(), s2.to_graph())
-    return ConstructionResult(inst, predicted, "one-sum")
+    g1 = i1.graph.relabel({v: left(v) for v in i1.graph.vertices})
+    g2 = i2.graph.relabel({v: right(v) for v in i2.graph.vertices})
+    glued = Graph(set(g1.vertices) | set(g2.vertices), g1.edges | g2.edges)
+    inst = BaseInstance(glued, left(i1.source), right(i2.target))
+    vertices, edges = _part_product(
+        BaseInstance(g1, inst.source, "c"),
+        BaseInstance(g2, "c", inst.target),
+        limit=DEFAULT_GEODESIC_LIMIT,
+    )
+    return ConstructionResult(inst, Graph(vertices, edges), "one-sum")
 
 
 def _glue_two_sum(
@@ -353,8 +409,8 @@ def _part_product(
     """Vertices and edges of S(left) x S(right), with concatenated names."""
     left = enumerate_geodesics(left_inst, limit=limit)
     right = enumerate_geodesics(right_inst, limit=limit)
-    left_spg = _adjacency_of(left)
-    right_spg = _adjacency_of(right)
+    left_spg = spg_from_geodesics(left).edge_index
+    right_spg = spg_from_geodesics(right).edge_index
 
     def name(p: Geodesic, q: Geodesic) -> str:
         return "|".join(p + q[1:])
@@ -368,10 +424,6 @@ def _part_product(
         for p in left:
             edges.add(_norm(name(p, right[i]), name(p, right[j])))
     return vertices, edges
-
-
-def _adjacency_of(geodesics: list[Geodesic]) -> list[tuple[int, int]]:
-    return spg_from_geodesics(geodesics).sorted_edges()
 
 
 def _norm(u: str, v: str) -> tuple[str, str]:
@@ -414,36 +466,27 @@ def predict_two_sum(
     else:
         case = CASE_OVERLAP
 
-    want_x = case in (CASE_MATCHING, CASE_THROUGH_X, CASE_OVERLAP)
-    want_y = case in (CASE_MATCHING, CASE_THROUGH_Y, CASE_OVERLAP)
-    verts: dict[str, tuple[Geodesic, Geodesic]] = {}
+    # the shared vertices that geodesics of the glued instance pass through
+    through = {CASE_THROUGH_X: (x,), CASE_THROUGH_Y: (y,)}.get(case, (x, y))
+    parts: dict[str, dict[str, tuple[Geodesic, Geodesic]]] = {x: {}, y: {}}
     edges: set[tuple[str, str]] = set()
-    x_parts: dict[str, tuple[Geodesic, Geodesic]] = {}
-    y_parts: dict[str, tuple[Geodesic, Geodesic]] = {}
-    if want_x:
-        x_parts, x_edges = _part_product(
-            BaseInstance(g1r, source, x), BaseInstance(g2r, x, target), limit=limit
+    for v in through:
+        parts[v], part_edges = _part_product(
+            BaseInstance(g1r, source, v), BaseInstance(g2r, v, target), limit=limit
         )
-        verts.update(x_parts)
-        edges |= x_edges
-    if want_y:
-        y_parts, y_edges = _part_product(
-            BaseInstance(g1r, source, y), BaseInstance(g2r, y, target), limit=limit
-        )
-        verts.update(y_parts)
-        edges |= y_edges
+        edges |= part_edges
 
     if case == CASE_MATCHING:
         by_prefix: dict[Geodesic, list[tuple[Geodesic, Geodesic]]] = {}
-        for p, q in y_parts.values():
+        for p, q in parts[y].values():
             by_prefix.setdefault(p[:-1], []).append((p, q))
-        for name, (p, q) in x_parts.items():
+        for name, (p, q) in parts[x].items():
             for p2, q2 in by_prefix.get(p[:-1], ()):
                 if q2[1:] == q[1:]:
                     edges.add(_norm(name, "|".join(p2 + q2[1:])))
     return TwoSumPrediction(
         case=case,
-        predicted=Graph(verts, edges),
+        predicted=Graph({**parts[x], **parts[y]}, edges),
         d_ax=d_ax,
         d_ay=d_ay,
         d_xb=d_xb,

@@ -231,9 +231,9 @@ def geodesic_matrix(dag: GeodesicDag) -> np.ndarray:
 
 def mandatory_edges(dag: GeodesicDag) -> frozenset[tuple[str, str]]:
     """Directed DAG edges that lie on every geodesic."""
-    total = count_geodesics(dag)
     from_source = paths_from_source(dag)
     to_target = paths_to_target(dag)
+    total = to_target[dag.instance.source]
     return frozenset(
         (u, v) for u, v in dag.edges if from_source[u] * to_target[v] == total
     )

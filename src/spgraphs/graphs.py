@@ -402,7 +402,3 @@ def graph_from_edge_list(text: str) -> Graph:
         norm_seen.add(e)
         pairs.append((u, v))
     return Graph(verts, pairs)
-
-
-def graph_to_edge_list(g: Graph) -> str:
-    return "".join(f"{u} {v}\n" for u, v in g.sorted_edges())

@@ -16,7 +16,6 @@ by the image.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -25,7 +24,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .geodesics import Geodesic, GeodesicOverflowError, DEFAULT_GEODESIC_LIMIT
+from .geodesics import GeodesicOverflowError, DEFAULT_GEODESIC_LIMIT
 from .graphs import BaseInstance, Graph, GraphError
 
 Word = tuple[int, ...]
@@ -139,14 +138,6 @@ class LatticePoint:
                 )
             prev[(i, j)] = value
 
-    def to_json(self) -> str:
-        return json.dumps({"dims": list(self.spec.dims), "coords": list(self.coords)})
-
-
-def lattice_point_from_json(text: str) -> LatticePoint:
-    payload = json.loads(text)
-    return LatticePoint(GridSpec(tuple(payload["dims"])), tuple(payload["coords"]))
-
 
 # -- the grid instance ------------------------------------------------------
 
@@ -175,34 +166,7 @@ def grid_base(spec: GridSpec) -> BaseInstance:
     return BaseInstance(Graph(verts, edges), source, target)
 
 
-def path_to_word(spec: GridSpec, path: Geodesic) -> MoveSequence:
-    """Decode a monotone corner-to-corner path into its move word."""
-    if len(path) != spec.total_moves + 1:
-        raise GraphError(f"path has {len(path) - 1} steps, expected {spec.total_moves}")
-    coords = [name_coords(name) for name in path]
-    if coords[0] != (0,) * spec.m or coords[-1] != spec.dims:
-        raise GraphError("path must run from the origin corner to the far corner")
-    symbols = []
-    for here, there in zip(coords, coords[1:]):
-        deltas = [there[t] - here[t] for t in range(spec.m)]
-        moved = [t for t, delta in enumerate(deltas) if delta != 0]
-        if len(moved) != 1 or deltas[moved[0]] != 1:
-            raise GraphError(f"step {here} -> {there} is not a unit move forward")
-        symbols.append(moved[0] + 1)
-    return MoveSequence(spec, tuple(symbols))
-
-
-def word_to_path(ms: MoveSequence) -> Geodesic:
-    """The corner-to-corner grid path taking the word's moves in order."""
-    here = [0] * ms.spec.m
-    names = [coord_name(here)]
-    for s in ms.symbols:
-        here[s - 1] += 1
-        names.append(coord_name(here))
-    return tuple(names)
-
-
-# -- word enumeration and adjacency -----------------------------------------
+# -- word enumeration ------------------------------------------------------
 
 
 def iter_words(spec: GridSpec) -> Iterator[Word]:
@@ -234,19 +198,6 @@ def enumerate_sequences(
     if count > limit:
         raise GeodesicOverflowError(count, limit)
     return [MoveSequence(spec, w) for w in iter_words(spec)]
-
-
-def words_adjacent(u: Word, w: Word) -> bool:
-    """Whether two words differ by switching two different consecutive symbols."""
-    if len(u) != len(w):
-        raise GraphError("words of different lengths are incomparable")
-    diffs = [t for t in range(len(u)) if u[t] != w[t]]
-    return (
-        len(diffs) == 2
-        and diffs[1] == diffs[0] + 1
-        and u[diffs[0]] == w[diffs[1]]
-        and u[diffs[1]] == w[diffs[0]]
-    )
 
 
 # -- the lattice embedding ---------------------------------------------------

@@ -105,9 +105,6 @@ class SpGraph:
             self._neighbors = [tuple(sorted(ws)) for ws in nbrs]
         return self._neighbors
 
-    def indices_present(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.edge_index.values())))
-
     def to_graph(self, prefix: str = "g") -> Graph:
         verts = [f"{prefix}{i}" for i in range(self.num_vertices)]
         edges = [(f"{prefix}{i}", f"{prefix}{j}") for i, j in self.edge_index]
@@ -222,11 +219,6 @@ def spg_of_reduced(red: ReducedInstance, *, limit: int = DEFAULT_GEODESIC_LIMIT)
     return build_spg(red.instance, limit=limit)
 
 
-def edges_at_index(h: SpGraph, i: int) -> list[tuple[int, int]]:
-    """Edges whose difference index equals i, sorted."""
-    return sorted(e for e, pos in h.edge_index.items() if pos == i)
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Grouping of an SpGraph by the vertex at one interior position.
@@ -242,11 +234,6 @@ class Decomposition:
     components: tuple[tuple[int, ...], ...]
     cross_edges: tuple[tuple[int, int], ...]
 
-    def group_of(self, geodesic_index: int) -> int:
-        for k, comp in enumerate(self.components):
-            if geodesic_index in comp:
-                return k
-        raise KeyError(geodesic_index)
 
 
 def decompose_at_index(h: SpGraph, i: int) -> Decomposition:
@@ -282,21 +269,6 @@ def decompose_at_index(h: SpGraph, i: int) -> Decomposition:
         components=tuple(tuple(groups[v]) for v in middles),
         cross_edges=tuple(sorted(cross)),
     )
-
-
-def vertex_slice(h: SpGraph, v: str) -> SpGraph:
-    """The sub-SpGraph induced on the geodesics through vertex v."""
-    keep = [i for i, geo in enumerate(h.geodesics) if v in geo]
-    if not keep:
-        raise ValueError(f"{v!r} lies on no geodesic")
-    renumber = {old: new for new, old in enumerate(keep)}
-    kept = set(keep)
-    edges = {
-        (renumber[a], renumber[b]): pos
-        for (a, b), pos in h.edge_index.items()
-        if a in kept and b in kept
-    }
-    return SpGraph([h.geodesics[i] for i in keep], edges)
 
 
 # -- serialization ---------------------------------------------------------

@@ -25,6 +25,7 @@ import numpy as np
 
 from .constructions import (
     CASE_OVERLAP,
+    matches_prediction,
     one_sum,
     predict_two_sum,
     two_sum,
@@ -404,59 +405,42 @@ def check_sum_theorems(
     predicted from its parts.
 
     kind "one-sum" and "union" take two base instances; kind "two-sum"
-    takes (g1, a, g2, b, x, y) with (x, y) the shared edge. For two-sums
-    whose case is not "overlap", the check also deletes the shared edge
-    and requires the geodesics and the shortest path graph to be untouched.
+    takes (g1, a, g2, b, x, y) with (x, y) the shared edge. Every direct
+    geodesic is renamed by the prediction's correspondence, and the
+    renamed graph must equal the prediction. For two-sums whose case is
+    not "overlap", the check also deletes the shared edge and requires the
+    geodesics and the shortest path graph to be untouched.
     """
     if kind == "one-sum" or kind == "union":
         if len(parts) != 2:
             raise GraphError(f"{kind} expects two instances")
         result = (one_sum if kind == "one-sum" else union_base)(*parts)
-        direct = build_spg(result.instance, limit=limit)
-        stats: dict[str, object] = {
-            "vertices": direct.num_vertices,
-            "edges": direct.num_edges,
-        }
-        if find_isomorphism(direct.to_graph(), result.predicted) is None:
-            return CheckReport(
-                kind, False, "direct shortest path graph differs from prediction", stats
-            )
-        return CheckReport(kind, True, None, stats)
-    if kind != "two-sum":
+        inst, predicted, vertex_of = result.instance, result.predicted, result.vertex_of
+        stats: dict[str, object] = {}
+        case = ""
+    elif kind == "two-sum":
+        if len(parts) != 6:
+            raise GraphError("two-sum expects (g1, a, g2, b, x, y)")
+        prediction = predict_two_sum(*parts, limit=limit)
+        inst, predicted, vertex_of = two_sum(*parts), prediction.predicted, "|".join
+        stats = {"case": prediction.case}
+        case = f"case {prediction.case}: "
+    else:
         raise GraphError(f"unknown sum kind {kind!r}")
-    if len(parts) != 6:
-        raise GraphError("two-sum expects (g1, a, g2, b, x, y)")
-    g1, a, g2, b, x, y = parts
-    prediction = predict_two_sum(g1, a, g2, b, x, y, limit=limit)
-    inst = two_sum(g1, a, g2, b, x, y)
     direct = build_spg(inst, limit=limit)
-    stats = {
-        "case": prediction.case,
-        "vertices": direct.num_vertices,
-        "edges": direct.num_edges,
-    }
-    if find_isomorphism(direct.to_graph(), prediction.predicted) is None:
+    stats.update(vertices=direct.num_vertices, edges=direct.num_edges)
+    if not matches_prediction(direct, predicted, vertex_of):
         return CheckReport(
-            "two-sum",
-            False,
-            f"case {prediction.case}: direct shortest path graph differs "
-            f"from prediction",
-            stats,
+            kind, False, f"{case}direct shortest path graph differs from prediction", stats
         )
-    if prediction.case != CASE_OVERLAP:
-        pruned = BaseInstance(
-            inst.graph.without_edge(x, y), inst.source, inst.target
-        )
+    if kind == "two-sum" and prediction.case != CASE_OVERLAP:
+        x, y = parts[4:]
+        pruned = BaseInstance(inst.graph.without_edge(x, y), inst.source, inst.target)
         after = build_spg(pruned, limit=limit)
         if after.geodesics != direct.geodesics or after.edge_index != direct.edge_index:
-            return CheckReport(
-                "two-sum",
-                False,
-                f"case {prediction.case}: deleting the shared edge changed "
-                f"the shortest path graph",
-                stats,
-            )
-    return CheckReport("two-sum", True, None, stats)
+            witness = f"{case}deleting the shared edge changed the shortest path graph"
+            return CheckReport(kind, False, witness, stats)
+    return CheckReport(kind, True, None, stats)
 
 
 # -- corpora ------------------------------------------------------------------

@@ -143,6 +143,47 @@ def test_construct_oddhost_check_fails_on_a_broken_witness(capsys, monkeypatch):
     assert "check odd-cycle-host(7): FAIL (witness pair (0, 5) breaks the cycle" in out
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["hypercube", "8"], "check hypercube(8): shortest path graph as predicted: pass"),
+        (["complete", "250"], "check complete(250): shortest path graph as predicted: pass"),
+    ],
+    ids=["hypercube 8", "complete 250"],
+)
+def test_construct_check_reaches_past_the_isomorphism_cap(capsys, argv, line):
+    code, out, _ = _run(capsys, ["construct", *argv, "--check"])
+    assert code == 0
+    assert line in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "family, argv, vertex_of",
+    [
+        ("path_base", ["path", "4"], lambda geo: str(int(geo[1][1:]) + int(geo[2][1:]) + 1)),
+        ("complete_base", ["complete", "4"], lambda geo: "0"),
+    ],
+    ids=["off by one", "not injective"],
+)
+def test_construct_check_fails_on_a_wrong_correspondence(
+    capsys, monkeypatch, family, argv, vertex_of
+):
+    import dataclasses
+
+    import spgraphs.cli
+
+    real = getattr(spgraphs.cli, family)
+
+    def misnamed(k):
+        return dataclasses.replace(real(k), vertex_of=vertex_of)
+
+    monkeypatch.setattr(spgraphs.cli, family, misnamed)
+    code, out, err = _run(capsys, ["construct", *argv, "--check"])
+    assert code == 1
+    assert "shortest path graph as predicted: FAIL" in out
+    assert "error:" not in err
+
+
 def test_construct_rejects_odd_cycle_lengths(capsys):
     code, _, err = _run(capsys, ["construct", "cycle", "7"])
     assert code == 2

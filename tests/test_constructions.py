@@ -27,6 +27,7 @@ from spgraphs.constructions import (
     even_cycle_base,
     extend_distance,
     hypercube_base,
+    matches_prediction,
     odd_cycle_host_base,
     one_sum,
     parallel_paths,
@@ -71,6 +72,32 @@ def test_parallel_paths(t):
 def test_hypercube_base(k):
     result = hypercube_base(k)
     assert is_isomorphic(_spg_graph(result), hypercube_graph(k))
+
+
+@pytest.mark.parametrize(
+    "family, sizes",
+    [
+        (path_base, range(1, 11)),
+        (complete_base, [*range(1, 7), 250]),
+        (even_cycle_base, range(2, 7)),
+        (lambda t: parallel_paths(t, 3), range(1, 7)),
+        (hypercube_base, range(1, 9)),
+    ],
+    ids=["path", "complete", "even-cycle", "parallel", "hypercube"],
+)
+def test_families_match_their_prediction_by_renaming(family, sizes):
+    for k in sizes:
+        result = family(k)
+        h = build_spg(result.instance)
+        assert matches_prediction(h, result.predicted, result.vertex_of), result.name
+
+
+def test_a_naming_that_is_not_injective_never_matches():
+    result = complete_base(3)
+    h = build_spg(result.instance)
+    assert matches_prediction(h, result.predicted, result.vertex_of)
+    assert not matches_prediction(h, result.predicted, lambda geo: "0")
+    assert not matches_prediction(h, complete_graph(1), lambda geo: "0")
 
 
 def test_parameter_validation():

@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import spgraphs.constructions
 import spgraphs.geodesics
 import spgraphs.graphs
 import spgraphs.grid
@@ -15,6 +16,7 @@ MODULES = [
     spgraphs.graphs,
     spgraphs.patterns,
     spgraphs.geodesics,
+    spgraphs.constructions,
     spgraphs.spg,
     spgraphs.grid,
     spgraphs.verify,

@@ -1,7 +1,6 @@
 """Tests for grid words, the lattice embedding, and the related families."""
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -23,16 +22,12 @@ from spgraphs import (
     grid_base,
     is_isomorphic,
     iter_words,
-    lattice_point_from_json,
     parse_move_sequence,
-    path_to_word,
     phi,
     phi_batch,
     phi_inverse,
     staircase,
     tournament_of,
-    word_to_path,
-    words_adjacent,
     words_array,
 )
 
@@ -76,8 +71,7 @@ def test_move_sequence_validation_and_text_forms():
 def test_lattice_point_validation_and_json():
     spec = GridSpec((3, 3, 2))
     point = LatticePoint(spec, (3, 2, 1, 3, 1, 3, 0))
-    again = lattice_point_from_json(point.to_json())
-    assert again.spec == spec and again.coords == point.coords
+    assert point.coords == (3, 2, 1, 3, 1, 3, 0)
     with pytest.raises(GraphError, match="expected 7"):
         LatticePoint(spec, (0, 0))
     with pytest.raises(GraphError, match="outside"):
@@ -94,21 +88,6 @@ def test_grid_base_instance():
     assert inst.target == "(2,2)"
 
 
-def test_word_path_roundtrip_and_validation():
-    spec = GridSpec((2, 2))
-    for word in iter_words(spec):
-        ms = MoveSequence(spec, word)
-        assert path_to_word(spec, word_to_path(ms)).symbols == word
-    with pytest.raises(GraphError, match="steps"):
-        path_to_word(spec, ("(0,0)", "(2,2)"))
-    with pytest.raises(GraphError, match="corner"):
-        path_to_word(spec, ("(0,1)", "(1,1)", "(1,2)", "(2,2)", "(2,2)"))
-    with pytest.raises(GraphError, match="unit move"):
-        path_to_word(
-            spec, ("(0,0)", "(1,1)", "(2,1)", "(2,2)", "(2,2)")
-        )
-
-
 def test_enumeration_is_lexicographic_and_guarded():
     spec = GridSpec((2, 2))
     sequences = enumerate_sequences(spec)
@@ -120,15 +99,6 @@ def test_enumeration_is_lexicographic_and_guarded():
     with pytest.raises(GeodesicOverflowError) as info:
         enumerate_sequences(spec, limit=5)
     assert info.value.count == 6
-
-
-def test_words_adjacent_examples():
-    assert words_adjacent((1, 2, 1), (2, 1, 1))
-    assert not words_adjacent((1, 2, 1), (1, 2, 1))
-    assert not words_adjacent((1, 2, 2), (2, 2, 1))
-    assert not words_adjacent((1, 1, 2), (2, 2, 1))
-    with pytest.raises(GraphError):
-        words_adjacent((1, 2), (1, 2, 1))
 
 
 def test_phi_worked_example():
@@ -247,9 +217,3 @@ def test_tournament_of_recovers_every_word():
     assert len(seen) == 24
     with pytest.raises(GraphError):
         tournament_of(MoveSequence(GridSpec((2,)), (1, 1)))
-
-
-def test_lattice_point_json_payload_shape():
-    point = LatticePoint(GridSpec((1, 1)), (1,))
-    payload = json.loads(point.to_json())
-    assert payload == {"dims": [1, 1], "coords": [1]}

@@ -17,7 +17,6 @@ from spgraphs import (
     decompose_at_index,
     difference_index,
     difference_positions,
-    edges_at_index,
     enumerate_geodesics,
     index_color,
     is_isomorphic,
@@ -25,7 +24,6 @@ from spgraphs import (
     spg_from_json,
     spg_to_dot,
     spg_to_json,
-    vertex_slice,
 )
 from spgraphs.constructions import hypercube_base
 from spgraphs.geodesics import build_dag, geodesic_matrix
@@ -38,7 +36,6 @@ def test_spg_of_complete_bipartite_is_a_triangle():
     assert h.d == 2
     assert h.edge_index == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
     assert h.neighbors == [(1, 2), (0, 2), (0, 1)]
-    assert h.indices_present() == (1,)
     g = h.to_graph("s")
     assert g.vertices == ("s0", "s1", "s2")
     assert g.num_edges == 3
@@ -116,9 +113,6 @@ def test_hypercube_chain_decomposition():
     for members in dec.components:
         sub = h.to_graph().subgraph([f"g{i}" for i in members])
         assert is_isomorphic(sub, cycle_graph(4))
-    assert dec.group_of(dec.components[0][0]) == 0
-    with pytest.raises(KeyError):
-        dec.group_of(99)
 
     # At a shared-corner position every geodesic passes through one vertex,
     # so there is a single group and no cross edges.
@@ -138,25 +132,6 @@ def test_decomposition_rejects_inconsistent_input():
     bad = SpGraph(geos, {(0, 1): 1, (1, 2): 1})
     with pytest.raises(SpgStructureError, match="inconsistent"):
         decompose_at_index(bad, 1)
-
-
-def test_vertex_slice_on_the_hypercube_chain():
-    h = build_spg(hypercube_base(3).instance)
-    sliced = vertex_slice(h, "x1")
-    assert sliced.num_vertices == 4
-    assert is_isomorphic(sliced.to_graph(), cycle_graph(4))
-    with pytest.raises(ValueError):
-        vertex_slice(h, "nope")
-
-
-def test_edges_at_index():
-    h = build_spg(hypercube_base(2).instance)
-    assert h.num_vertices == 4
-    by_index = {i: edges_at_index(h, i) for i in (1, 2, 3)}
-    assert sum(len(v) for v in by_index.values()) == h.num_edges
-    assert by_index[2] == []
-    for i in (1, 3):
-        assert len(by_index[i]) == 2
 
 
 def test_json_roundtrip_and_errors():

@@ -265,6 +265,69 @@ def test_sum_theorem_checks():
         check_sum_theorems("two-sum", tri_a, "a")
 
 
+def test_sum_checks_reach_past_the_isomorphism_cap():
+    big = complete_base(15).instance
+    report = check_sum_theorems("one-sum", big, big)
+    assert report.passed, report
+    assert report.stats["vertices"] == 225
+    report = check_sum_theorems("union", hypercube_base(7).instance, complete_base(80).instance)
+    assert report.passed, report
+    assert report.stats["vertices"] == 208
+
+
+def _drop_an_edge(graph):
+    return Graph(graph.vertices, graph.sorted_edges()[1:])
+
+
+def _add_a_vertex(graph):
+    return Graph(graph.vertices + ("extra",), graph.edges)
+
+
+DAMAGES = pytest.mark.parametrize(
+    "damage", [_drop_an_edge, _add_a_vertex], ids=["drop an edge", "one vertex too many"]
+)
+
+
+@DAMAGES
+@pytest.mark.parametrize("kind", ["one-sum", "union"])
+def test_sum_check_fails_on_a_damaged_prediction(monkeypatch, kind, damage):
+    import dataclasses
+
+    import spgraphs.verify
+
+    name = "one_sum" if kind == "one-sum" else "union_base"
+    real = getattr(spgraphs.verify, name)
+
+    def damaged(i1, i2):
+        result = real(i1, i2)
+        return dataclasses.replace(result, predicted=damage(result.predicted))
+
+    monkeypatch.setattr(spgraphs.verify, name, damaged)
+    report = check_sum_theorems(kind, complete_base(2).instance, even_cycle_base(2).instance)
+    assert not report.passed
+    assert report.witness == "direct shortest path graph differs from prediction"
+
+
+@DAMAGES
+def test_two_sum_check_fails_on_a_damaged_prediction(monkeypatch, damage):
+    import dataclasses
+
+    import spgraphs.verify
+
+    real = spgraphs.verify.predict_two_sum
+
+    def damaged(*parts, limit):
+        prediction = real(*parts, limit=limit)
+        return dataclasses.replace(prediction, predicted=damage(prediction.predicted))
+
+    monkeypatch.setattr(spgraphs.verify, "predict_two_sum", damaged)
+    tri_a = Graph(["a", "x", "y"], [("a", "x"), ("a", "y"), ("x", "y")])
+    tri_b = Graph(["b", "x", "y"], [("b", "x"), ("b", "y"), ("x", "y")])
+    report = check_sum_theorems("two-sum", tri_a, "a", tri_b, "b", "x", "y")
+    assert not report.passed
+    assert report.witness == "case matching: direct shortest path graph differs from prediction"
+
+
 # -- corpora --------------------------------------------------------------------
 
 
