@@ -288,6 +288,15 @@ def _int_or_usage(text: str, what: str) -> int:
         raise GraphError(f"{what} must be an integer, got {text!r}") from exc
 
 
+def _random_spec(flag: str | None, usage: str) -> tuple[int, ...]:
+    """COUNT, MAXN and SEED of a ``random:COUNT:MAXN:SEED`` flag; any other
+    shape raises ``usage``."""
+    kind, *fields = (flag or "").split(":")
+    if kind != "random" or len(fields) != 3:
+        raise GraphError(usage)
+    return tuple(_int_or_usage(f, "random corpus field") for f in fields)
+
+
 def _corpus_from_flag(args: argparse.Namespace) -> tuple[Iterable[BaseInstance], int | None]:
     """Instances plus the seed in effect (None when not seeded)."""
     flag = args.corpus
@@ -300,10 +309,7 @@ def _corpus_from_flag(args: argparse.Namespace) -> tuple[Iterable[BaseInstance],
             raise GraphError("exhaustive corpus supports 2..8 vertices")
         return list(exhaustive_instances(n)), None
     if kind == "random":
-        parts = rest.split(":")
-        if len(parts) != 3:
-            raise GraphError("random corpus spec is random:COUNT:MAXN:SEED")
-        count, max_n, seed = (_int_or_usage(p, "random corpus field") for p in parts)
+        count, max_n, seed = _random_spec(flag, "random corpus spec is random:COUNT:MAXN:SEED")
         return random_instances(count, max_vertices=max_n, seed=seed), seed
     if kind == "file":
         with open(rest, "r", encoding="utf-8") as handle:
@@ -322,11 +328,8 @@ def _corpus_from_flag(args: argparse.Namespace) -> tuple[Iterable[BaseInstance],
 
 
 def _verify_sums(args: argparse.Namespace) -> int:
-    kind, _, rest = (args.corpus or "").partition(":")
-    parts_raw = rest.split(":")
-    if kind != "random" or len(parts_raw) != 3:
-        raise GraphError("verify sums needs --corpus random:COUNT:MAXN:SEED")
-    count, max_n, seed = (_int_or_usage(p, "random corpus field") for p in parts_raw)
+    usage = "verify sums needs --corpus random:COUNT:MAXN:SEED"
+    count, max_n, seed = _random_spec(args.corpus, usage)
     args.seed_in_effect = seed
     _banner(args)
     parts = random_instances(2 * count, max_vertices=max_n, seed=seed)

@@ -23,8 +23,11 @@ from typing import Callable
 
 from .geodesics import (
     Geodesic,
+    GeodesicOverflowError,
     NoGeodesicError,
-    enumerate_geodesics,
+    build_dag,
+    count_geodesics,
+    iter_geodesics,
     DEFAULT_GEODESIC_LIMIT,
 )
 from .graphs import (
@@ -284,7 +287,9 @@ def _extend(inst: BaseInstance, new_d: int) -> tuple[BaseInstance, tuple[str, ..
     return BaseInstance(Graph(verts, edges), inst.source, tail[-1]), tuple(tail)
 
 
-def union_base(i1: BaseInstance, i2: BaseInstance) -> ConstructionResult:
+def union_base(
+    i1: BaseInstance, i2: BaseInstance, *, limit: int = DEFAULT_GEODESIC_LIMIT
+) -> ConstructionResult:
     """Glue two instances in parallel behind fresh endpoints.
 
     The sides are first brought to equal endpoint distance (pendant
@@ -294,21 +299,23 @@ def union_base(i1: BaseInstance, i2: BaseInstance) -> ConstructionResult:
     the disjoint union of the two sides' shortest path graphs. The
     prediction names each side's geodesic by the glued geodesic it
     becomes: new source, the tagged side geodesic and tail, new target.
+    More than ``limit`` geodesics in all raise GeodesicOverflowError
+    before either side is enumerated.
     """
-    d1 = distances(i1.graph, i1.source)[i1.target]
-    d2 = distances(i2.graph, i2.source)[i2.target]
-    if d1 == float("inf") or d2 == float("inf"):
-        raise NoGeodesicError("both sides need connected endpoints")
-    target_d = int(max(d1, d2))
+    dags = (build_dag(i1), build_dag(i2))
+    total = sum(count_geodesics(dag) for dag in dags)
+    if total > limit:
+        raise GeodesicOverflowError(total, limit)
+    target_d = max(dag.d for dag in dags)
     verts, edges = ["a", "b"], []
     names: list[str] = []
     pairs: list[tuple[str, str]] = []
-    for tag, side in (("L", i1), ("R", i2)):
+    for tag, side, dag in zip("LR", (i1, i2), dags):
         ext, tail = _extend(side, target_d)
         verts += [f"{tag}:{v}" for v in ext.graph.vertices]
         edges += [(f"{tag}:{u}", f"{tag}:{v}") for u, v in ext.graph.edges]
         edges += [("a", f"{tag}:{ext.source}"), (f"{tag}:{ext.target}", "b")]
-        h = build_spg(side)
+        h = spg_from_geodesics(list(iter_geodesics(dag)))
         glued = ["|".join(("a", *(f"{tag}:{v}" for v in geo + tail), "b")) for geo in h.geodesics]
         names += glued
         pairs += [(glued[i], glued[j]) for i, j in h.edge_index]
@@ -316,14 +323,17 @@ def union_base(i1: BaseInstance, i2: BaseInstance) -> ConstructionResult:
     return ConstructionResult(inst, Graph(names, pairs), "union")
 
 
-def one_sum(i1: BaseInstance, i2: BaseInstance) -> ConstructionResult:
+def one_sum(
+    i1: BaseInstance, i2: BaseInstance, *, limit: int = DEFAULT_GEODESIC_LIMIT
+) -> ConstructionResult:
     """Identify the target of one instance with the source of another.
 
     The cut vertex lies on every geodesic of the glued instance, so
     geodesics are exactly prefix-suffix concatenations and the shortest
     path graph is the Cartesian product of the parts' shortest path
     graphs, its vertices named by the concatenated geodesics. Both parts
-    need connected endpoints.
+    need connected endpoints, and a product of more than ``limit``
+    geodesics raises GeodesicOverflowError before it is built.
     """
 
     def left(v: str) -> str:
@@ -337,9 +347,7 @@ def one_sum(i1: BaseInstance, i2: BaseInstance) -> ConstructionResult:
     glued = Graph(set(g1.vertices) | set(g2.vertices), g1.edges | g2.edges)
     inst = BaseInstance(glued, left(i1.source), right(i2.target))
     vertices, edges = _part_product(
-        BaseInstance(g1, inst.source, "c"),
-        BaseInstance(g2, "c", inst.target),
-        limit=DEFAULT_GEODESIC_LIMIT,
+        BaseInstance(g1, inst.source, "c"), BaseInstance(g2, "c", inst.target), limit=limit
     )
     return ConstructionResult(inst, Graph(vertices, edges), "one-sum")
 
@@ -406,9 +414,17 @@ class TwoSumPrediction:
 def _part_product(
     left_inst: BaseInstance, right_inst: BaseInstance, *, limit: int
 ) -> tuple[dict[str, tuple[Geodesic, Geodesic]], set[tuple[str, str]]]:
-    """Vertices and edges of S(left) x S(right), with concatenated names."""
-    left = enumerate_geodesics(left_inst, limit=limit)
-    right = enumerate_geodesics(right_inst, limit=limit)
+    """Vertices and edges of S(left) x S(right), with concatenated names.
+
+    A product of more than ``limit`` vertices raises GeodesicOverflowError
+    (carrying its size) before either side is enumerated.
+    """
+    left_dag, right_dag = build_dag(left_inst), build_dag(right_inst)
+    size = count_geodesics(left_dag) * count_geodesics(right_dag)
+    if size > limit:
+        raise GeodesicOverflowError(size, limit)
+    left = list(iter_geodesics(left_dag))
+    right = list(iter_geodesics(right_dag))
     left_spg = spg_from_geodesics(left).edge_index
     right_spg = spg_from_geodesics(right).edge_index
 

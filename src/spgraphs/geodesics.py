@@ -5,12 +5,17 @@ An edge (u, v) lies on a shortest source,target-path exactly when
 ``dist(source, u) + 1 + dist(v, target) == dist(source, target)``. Orienting
 every such edge away from the source yields a DAG whose source-to-target
 paths are precisely the geodesics. Counting walks over that DAG with exact
-integers gives both the geodesic count and, per edge, the number of
-geodesics through it; an edge on every geodesic is called mandatory here.
+integers gives the geodesic count without materializing any path.
 
-Reduction deletes all off-geodesic vertices and edges and contracts every
-mandatory edge simultaneously. When the endpoints themselves merge the
-instance had a unique geodesic and the reduction reports ``collapsed``.
+The on-geodesic vertices at one distance from the source form a layer,
+and every geodesic passes through each layer once. An edge lies on every
+geodesic (is mandatory) exactly when both of its layers hold a single
+vertex: any other vertex of either layer lies on a geodesic that avoids
+the edge. Reduction deletes all off-geodesic vertices and edges and
+contracts the mandatory edges, which merges each maximal run of
+consecutive one-vertex layers into its smallest name. When the endpoints
+themselves merge the instance had a unique geodesic and the reduction
+reports ``collapsed``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -49,7 +55,6 @@ class GeodesicDag:
     instance: BaseInstance
     d: int
     dist_from_source: Mapping[str, int | float]
-    dist_to_target: Mapping[str, int | float]
     vertices: frozenset[str]
     edges: frozenset[tuple[str, str]]
 
@@ -104,7 +109,6 @@ def build_dag(inst: BaseInstance) -> GeodesicDag:
         instance=inst,
         d=int(d),
         dist_from_source=dist_a,
-        dist_to_target=dist_b,
         vertices=on_geo,
         edges=frozenset(edges),
     )
@@ -123,20 +127,6 @@ def paths_to_target(dag: GeodesicDag) -> dict[str, int]:
         if v == dag.instance.target:
             continue
         ways[v] = sum(ways[w] for w in succ[v])
-    return ways
-
-
-def paths_from_source(dag: GeodesicDag) -> dict[str, int]:
-    """For each on-geodesic vertex, the number of geodesic prefixes."""
-    order = sorted(dag.vertices, key=lambda v: dag.dist_from_source[v])
-    pred: dict[str, list[str]] = {v: [] for v in dag.vertices}
-    for u, v in dag.edges:
-        pred[v].append(u)
-    ways: dict[str, int] = {dag.instance.source: 1}
-    for v in order:
-        if v == dag.instance.source:
-            continue
-        ways[v] = sum(ways[u] for u in pred[v])
     return ways
 
 
@@ -229,14 +219,28 @@ def geodesic_matrix(dag: GeodesicDag) -> np.ndarray:
     return matrix
 
 
+def _forced_runs(dag: GeodesicDag) -> Iterator[list[str]]:
+    """Maximal runs of consecutive one-vertex layers, each in path order."""
+    layers: list[list[str]] = [[] for _ in range(dag.d + 1)]
+    for v in dag.vertices:
+        layers[dag.dist_from_source[v]].append(v)
+    for alone, run in groupby(layers, key=lambda layer: len(layer) == 1):
+        if alone:
+            yield [v for (v,) in run]
+
+
 def mandatory_edges(dag: GeodesicDag) -> frozenset[tuple[str, str]]:
-    """Directed DAG edges that lie on every geodesic."""
-    from_source = paths_from_source(dag)
-    to_target = paths_to_target(dag)
-    total = to_target[dag.instance.source]
-    return frozenset(
-        (u, v) for u, v in dag.edges if from_source[u] * to_target[v] == total
-    )
+    """Directed DAG edges that lie on every geodesic: the edges between
+    two consecutive one-vertex layers.
+
+    Two routes a-m1-c and a-m2-c end in the forced tail c-t-b:
+
+    >>> g = Graph(["a", "m1", "m2", "c", "t", "b"], [("a", "m1"), ("a", "m2"),
+    ...           ("m1", "c"), ("m2", "c"), ("c", "t"), ("t", "b")])
+    >>> sorted(mandatory_edges(build_dag(BaseInstance(g, "a", "b"))))
+    [('c', 't'), ('t', 'b')]
+    """
+    return frozenset(edge for run in _forced_runs(dag) for edge in zip(run, run[1:]))
 
 
 @dataclass(frozen=True)
@@ -262,24 +266,6 @@ class ReducedInstance:
         return BaseInstance(self.graph, self.source, self.target)
 
 
-class _DisjointSets:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: str, y: str) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 def reduce_instance(inst: BaseInstance) -> ReducedInstance:
     """Delete off-geodesic material, contract mandatory edges.
 
@@ -287,33 +273,21 @@ def reduce_instance(inst: BaseInstance) -> ReducedInstance:
     and no surviving edge is on all of them.
     """
     dag = build_dag(inst)
-    forced = mandatory_edges(dag)
-    sets = _DisjointSets(dag.vertices)
-    for u, v in forced:
-        sets.union(u, v)
-    classes: dict[str, list[str]] = {}
-    for v in dag.vertices:
-        classes.setdefault(sets.find(v), []).append(v)
-    rep = {root: min(members) for root, members in classes.items()}
-
-    def image(v: str) -> str:
-        return rep[sets.find(v)]
-
+    image = {v: v for v in dag.vertices}
+    for run in _forced_runs(dag):
+        image.update(dict.fromkeys(run, min(run)))
     reduced_edges = set()
     for u, v in dag.edges:
-        iu, iv = image(u), image(v)
+        iu, iv = image[u], image[v]
         if iu != iv:
             reduced_edges.add((iu, iv) if iu < iv else (iv, iu))
-    graph = Graph({image(v) for v in dag.vertices}, reduced_edges)
-    vertex_map = {
-        v: image(v) if v in dag.vertices else None for v in inst.graph.vertices
-    }
-    source = image(inst.source)
-    target = image(inst.target)
+    graph = Graph(set(image.values()), reduced_edges)
+    source = image[inst.source]
+    target = image[inst.target]
     return ReducedInstance(
         graph=graph,
         source=source,
         target=target,
-        vertex_map=vertex_map,
+        vertex_map={v: image.get(v) for v in inst.graph.vertices},
         collapsed=source == target,
     )

@@ -260,7 +260,7 @@ def girth(g: Graph) -> int | float:
 # -- products and unions ---------------------------------------------------
 
 
-def product_vertex(u: str, v: str) -> str:
+def _product_vertex(u: str, v: str) -> str:
     return f"({u},{v})"
 
 
@@ -271,14 +271,14 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     >>> square.num_vertices, square.num_edges
     (4, 4)
     """
-    verts = [product_vertex(u, v) for u in g1.vertices for v in g2.vertices]
+    verts = [_product_vertex(u, v) for u in g1.vertices for v in g2.vertices]
     edges: list[tuple[str, str]] = []
     for u in g1.vertices:
         for x, y in g2.edges:
-            edges.append((product_vertex(u, x), product_vertex(u, y)))
+            edges.append((_product_vertex(u, x), _product_vertex(u, y)))
     for x, y in g1.edges:
         for v in g2.vertices:
-            edges.append((product_vertex(x, v), product_vertex(y, v)))
+            edges.append((_product_vertex(x, v), _product_vertex(y, v)))
     return Graph(verts, edges)
 
 

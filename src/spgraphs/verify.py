@@ -414,7 +414,7 @@ def check_sum_theorems(
     if kind == "one-sum" or kind == "union":
         if len(parts) != 2:
             raise GraphError(f"{kind} expects two instances")
-        result = (one_sum if kind == "one-sum" else union_base)(*parts)
+        result = (one_sum if kind == "one-sum" else union_base)(*parts, limit=limit)
         inst, predicted, vertex_of = result.instance, result.predicted, result.vertex_of
         stats: dict[str, object] = {}
         case = ""

@@ -94,6 +94,26 @@ def test_reduction_contracts_the_forced_tail():
     )
 
 
+def test_reduction_names_each_forced_run_by_its_smallest_vertex():
+    # Forced run a - u, a branching layer {x1, x2}, forced run p - k - z
+    # (smallest name in the middle), and a pendant o off every geodesic.
+    g = Graph(
+        ["a", "u", "x1", "x2", "p", "k", "z", "o"],
+        [("a", "u"), ("u", "x1"), ("u", "x2"), ("x1", "p"), ("x2", "p"),
+         ("p", "k"), ("k", "z"), ("u", "o")],
+    )
+    red = reduce_instance(BaseInstance(g, "a", "z"))
+    assert not red.collapsed
+    assert (red.source, red.target) == ("a", "k")
+    assert red.vertex_map == {
+        "a": "a", "u": "a", "x1": "x1", "x2": "x2",
+        "p": "k", "k": "k", "z": "k", "o": None,
+    }
+    assert red.graph == Graph(
+        ["a", "x1", "x2", "k"], [("a", "x1"), ("a", "x2"), ("x1", "k"), ("x2", "k")]
+    )
+
+
 def test_reduction_drops_off_geodesic_material():
     g = Graph(
         ["a", "b", "m", "far"],
@@ -123,6 +143,14 @@ def test_enumeration_matches_exhaustive_dfs(inst):
     assert geos == oracles.brute_geodesics(inst.graph, inst.source, inst.target)
     assert geos == sorted(geos)
     assert count_geodesics(inst) == len(geos)
+
+
+@settings(max_examples=80, deadline=None)
+@given(strategies.instances(max_vertices=7))
+def test_mandatory_edges_are_the_edges_of_every_geodesic(inst):
+    geos = oracles.brute_geodesics(inst.graph, inst.source, inst.target)
+    on_every = set.intersection(*(set(zip(geo, geo[1:])) for geo in geos))
+    assert mandatory_edges(build_dag(inst)) == on_every
 
 
 @settings(max_examples=60, deadline=None)

@@ -275,6 +275,30 @@ def test_sum_checks_reach_past_the_isomorphism_cap():
     assert report.stats["vertices"] == 208
 
 
+@pytest.mark.parametrize(
+    "kind, side, count",
+    [("one-sum", hypercube_base(6), 64 * 64), ("union", hypercube_base(10), 2 * 1024)],
+    ids=["one-sum", "union"],
+)
+def test_sum_check_refuses_before_building_a_prediction_over_the_limit(
+    monkeypatch, kind, side, count
+):
+    import spgraphs.constructions
+
+    limit = 1000
+    real = spgraphs.constructions.Graph
+
+    def small_graph(*args, **kwargs):
+        graph = real(*args, **kwargs)
+        assert graph.num_vertices <= limit, f"built a {graph.num_vertices}-vertex graph"
+        return graph
+
+    monkeypatch.setattr(spgraphs.constructions, "Graph", small_graph)
+    with pytest.raises(GeodesicOverflowError) as info:
+        check_sum_theorems(kind, side.instance, side.instance, limit=limit)
+    assert (info.value.count, info.value.limit) == (count, limit)
+
+
 def _drop_an_edge(graph):
     return Graph(graph.vertices, graph.sorted_edges()[1:])
 
@@ -298,8 +322,8 @@ def test_sum_check_fails_on_a_damaged_prediction(monkeypatch, kind, damage):
     name = "one_sum" if kind == "one-sum" else "union_base"
     real = getattr(spgraphs.verify, name)
 
-    def damaged(i1, i2):
-        result = real(i1, i2)
+    def damaged(i1, i2, *, limit):
+        result = real(i1, i2, limit=limit)
         return dataclasses.replace(result, predicted=damage(result.predicted))
 
     monkeypatch.setattr(spgraphs.verify, name, damaged)
