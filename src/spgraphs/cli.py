@@ -32,14 +32,18 @@ from .geodesics import (
     DEFAULT_GEODESIC_LIMIT,
     GeodesicOverflowError,
     NoGeodesicError,
+    ReducedInstance,
     reduce_instance,
 )
 from .graphs import (
     BaseInstance,
     GraphError,
+    graph_fields,
     graph_from_edge_list,
     graph_from_json,
     graph_to_json,
+    json_records,
+    quote,
 )
 from .grid import (
     GridSpec,
@@ -121,17 +125,19 @@ def load_instance(path: str, source: str, target: str) -> BaseInstance:
 
 
 def _write_or_print(payload: str, out: str | None) -> None:
+    """Write a payload that ends in its own newline to ``out`` or stdout."""
     if out is None:
-        print(payload)
+        sys.stdout.write(payload)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+            handle.write(payload)
 
 
-def _instance_json(inst: BaseInstance, **extra: str) -> str:
-    graph = json.loads(graph_to_json(inst.graph))
-    payload = {"source": inst.source, "target": inst.target, "graph": graph, **extra}
-    return json.dumps(payload, sort_keys=True, indent=2)
+def _instance_json(inst: BaseInstance | ReducedInstance, **extra: object) -> str:
+    """Instance or reduction JSON, keys sorted; ``extra`` holds encoded
+    fields (see ``graphs.json_records``)."""
+    fields = {"source": quote(inst.source), "target": quote(inst.target)}
+    return json_records({**fields, "graph": graph_fields(inst.graph), **extra}, sort_keys=True)
 
 
 def _report_exit(report: CheckReport) -> int:
@@ -163,16 +169,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     inst = load_instance(args.input, args.a, args.b)
     red = reduce_instance(inst)
-    payload = json.dumps(
-        {
-            "collapsed": red.collapsed,
-            "source": red.source,
-            "target": red.target,
-            "vertex_map": {v: red.vertex_map[v] for v in sorted(red.vertex_map)},
-            "graph": json.loads(graph_to_json(red.graph)),
-        },
-        sort_keys=True,
-        indent=2,
+    payload = _instance_json(
+        red,
+        collapsed=json.dumps(red.collapsed),
+        vertex_map={v: "null" if w is None else quote(w) for v, w in red.vertex_map.items()},
     )
     _write_or_print(payload, args.out)
     return 0
@@ -200,7 +200,7 @@ def _build_construction(args: argparse.Namespace) -> ConstructionResult:
 def cmd_construct(args: argparse.Namespace) -> int:
     result = _build_construction(args)
     inst = result.instance
-    _write_or_print(_instance_json(inst, name=result.name), args.out)
+    _write_or_print(_instance_json(inst, name=quote(result.name)), args.out)
     if not args.check:
         return 0
     if result.predicted is not None:
@@ -395,8 +395,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     with open(args.spg, "r", encoding="utf-8") as handle:
         h = spg_from_json(handle.read())
-    dot = spg_to_dot(h, args.name)
-    _write_or_print(dot.rstrip("\n"), args.out)
+    _write_or_print(spg_to_dot(h, args.name), args.out)
     return 0
 
 

@@ -460,7 +460,9 @@ def predict_two_sum(
 
     The prediction composes geodesics of the sides (source to shared
     vertex, shared vertex to target) and never looks at the glued
-    instance's own geodesics.
+    instance's own geodesics. A prediction of more than ``limit``
+    vertices raises GeodesicOverflowError (carrying its size) before
+    either part is built.
     """
     glued, source, target, g1r, g2r = _glue_two_sum(g1, a, g2, b, x, y)
     dist_a = distances(glued, source)
@@ -484,6 +486,16 @@ def predict_two_sum(
 
     # the shared vertices that geodesics of the glued instance pass through
     through = {CASE_THROUGH_X: (x,), CASE_THROUGH_Y: (y,)}.get(case, (x, y))
+
+    def count(g: Graph, s: str, t: str) -> int:
+        return count_geodesics(build_dag(BaseInstance(g, s, t)))
+
+    size = sum(count(g1r, source, v) * count(g2r, v, target) for v in through)
+    if case == CASE_OVERLAP:  # a geodesic over the shared edge is in both parts
+        first, second = (x, y) if d_ax < d_ay else (y, x)
+        size -= count(g1r, source, first) * count(g2r, second, target)
+    if size > limit:
+        raise GeodesicOverflowError(size, limit)
     parts: dict[str, dict[str, tuple[Geodesic, Geodesic]]] = {x: {}, y: {}}
     edges: set[tuple[str, str]] = set()
     for v in through:

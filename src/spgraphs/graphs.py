@@ -13,6 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
+from json.encoder import encode_basestring_ascii as quote
 from typing import Iterable, Mapping
 
 
@@ -347,9 +348,44 @@ def hypercube_graph(k: int) -> Graph:
 # -- serialization ---------------------------------------------------------
 
 
+def json_records(fields: dict[str, object], *, sort_keys: bool = False) -> str:
+    """A JSON object laid out one record per line, ending in one newline.
+
+    A field value is a ``str`` holding one encoded JSON value, a ``list`` of
+    encoded records (an array, one record per line) or a ``dict`` of field
+    values (a nested object, one field per line). Containers are indented
+    as by ``json.dumps(..., indent=2)``; a record stays on its line, so
+    ``json.loads`` reads the same value either writer produced. Encode
+    strings with ``quote``, the escaping ``json.dumps`` itself applies.
+    """
+    return _json_value(fields, "", sort_keys) + "\n"
+
+
+def _json_value(value: object, pad: str, sort_keys: bool) -> str:
+    if isinstance(value, str):
+        return value
+    inner = pad + "  "
+    if isinstance(value, dict):
+        keys = sorted(value) if sort_keys else value
+        items = [f"{quote(k)}: {_json_value(value[k], inner, sort_keys)}" for k in keys]
+        brackets = "{}"
+    else:
+        items, brackets = value, "[]"
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def graph_fields(g: Graph) -> dict[str, list[str]]:
+    """The JSON fields of a graph: one record per vertex and per edge."""
+    return {
+        "vertices": [quote(v) for v in g.vertices],
+        "edges": [f"[{quote(u)}, {quote(v)}]" for u, v in g.sorted_edges()],
+    }
+
+
 def graph_to_json(g: Graph) -> str:
-    payload = {"vertices": list(g.vertices), "edges": [list(e) for e in g.sorted_edges()]}
-    return json.dumps(payload, indent=2) + "\n"
+    return json_records(graph_fields(g))
 
 
 def graph_from_json(text: str) -> Graph:

@@ -34,7 +34,7 @@ from .geodesics import (
     ReducedInstance,
     enumerate_geodesics,
 )
-from .graphs import BaseInstance, Graph
+from .graphs import BaseInstance, Graph, json_records, quote
 
 
 class SpgStructureError(ValueError):
@@ -275,13 +275,30 @@ def decompose_at_index(h: SpGraph, i: int) -> Decomposition:
 
 
 def spg_to_json(h: SpGraph) -> str:
-    payload = {
-        "geodesics": [list(g) for g in h.geodesics],
-        "edges": [
-            {"u": i, "w": j, "index": h.edge_index[(i, j)]} for i, j in h.sorted_edges()
-        ],
+    """SpGraph JSON, one geodesic and one edge per line.
+
+    >>> from spgraphs.graphs import complete_bipartite_graph
+    >>> h = build_spg(BaseInstance(complete_bipartite_graph(2, 2), "a0", "a1"))
+    >>> print(spg_to_json(h), end="")
+    {
+      "geodesics": [
+        ["a0", "b0", "a1"],
+        ["a0", "b1", "a1"]
+      ],
+      "edges": [
+        {"u": 0, "w": 1, "index": 1}
+      ]
     }
-    return json.dumps(payload, indent=2) + "\n"
+    """
+    return json_records(
+        {
+            "geodesics": ["[" + ", ".join(map(quote, g)) + "]" for g in h.geodesics],
+            "edges": [
+                f'{{"u": {i}, "w": {j}, "index": {pos}}}'
+                for (i, j), pos in sorted(h.edge_index.items())
+            ],
+        }
+    )
 
 
 def spg_from_json(text: str) -> SpGraph:
@@ -329,14 +346,9 @@ def index_color(i: int) -> str:
 
 def spg_to_dot(h: SpGraph, name: str = "spg") -> str:
     """Graphviz source; edges are labeled and colored by difference index."""
-    lines = [f"graph {json.dumps(name)} {{"]
-    lines.append("  node [shape=box, fontsize=10];")
-    for i, geo in enumerate(h.geodesics):
-        lines.append(f"  {i} [label={json.dumps(' '.join(geo))}];")
-    for i, j in h.sorted_edges():
-        pos = h.edge_index[(i, j)]
-        lines.append(
-            f'  {i} -- {j} [label="{pos}", color={json.dumps(index_color(pos))}];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    style = {p: f'[label="{p}", color={quote(index_color(p))}];' for p in range(1, h.d or 0)}
+    lines = [f"graph {quote(name)} {{", "  node [shape=box, fontsize=10];"]
+    lines += [f"  {i} [label={quote(' '.join(geo))}];" for i, geo in enumerate(h.geodesics)]
+    lines += [f"  {i} -- {j} {style[pos]}" for (i, j), pos in sorted(h.edge_index.items())]
+    lines.append("}\n")
+    return "\n".join(lines)

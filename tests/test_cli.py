@@ -6,10 +6,17 @@ import pytest
 
 from spgraphs import (
     BaseInstance,
+    Graph,
     SpGraph,
     build_spg,
     complete_bipartite_graph,
     graph_to_json,
+    hypercube_base,
+    hypercube_graph,
+    index_color,
+    reduce_instance,
+    spg_from_json,
+    spg_to_dot,
     spg_to_json,
 )
 from spgraphs.cli import main
@@ -371,3 +378,152 @@ def test_export_dot(capsys, tmp_path):
     assert code == 0
     assert out.startswith('graph "mine" {')
     assert "--" in out
+
+
+# -- output layout -------------------------------------------------------------
+
+ODD_NAMES = ['q"', "b\\x", "sp ace", "é", "ü/ß"]
+
+
+def _odd_instance():
+    """The 3-cube from 000 to 111, every name with an odd suffix, plus a
+    vertex m off every geodesic."""
+    q3 = hypercube_graph(3)
+    names = {v: v + ODD_NAMES[int(v, 2) % len(ODD_NAMES)] for v in q3.vertices}
+    g = q3.relabel(names)
+    g = Graph([*g.vertices, "m"], [*g.edges, ("m", names["000"])])
+    return BaseInstance(g, names["000"], names["111"])
+
+
+def _old_form(payload, **kwargs):
+    """The layout every writer used before: json.dumps with indent=2."""
+    return json.dumps(payload, indent=2, **kwargs)
+
+
+def _old_graph(g):
+    return {"vertices": list(g.vertices), "edges": [list(e) for e in g.sorted_edges()]}
+
+
+def _old_spg(h):
+    return {
+        "geodesics": [list(geo) for geo in h.geodesics],
+        "edges": [{"u": i, "w": j, "index": h.edge_index[(i, j)]} for i, j in h.sorted_edges()],
+    }
+
+
+def _assert_same_json(new, old, names=()):
+    assert json.loads(new) == json.loads(old)
+    for name in names:  # escaped exactly as json.dumps escapes it
+        assert json.dumps(name) in new
+
+
+def test_spg_and_graph_json_read_as_the_old_layout():
+    inst = _odd_instance()
+    g = inst.graph
+    _assert_same_json(graph_to_json(g), _old_form(_old_graph(g)), g.vertices)
+    h = build_spg(inst)
+    assert (h.num_vertices, h.num_edges, h.d) == (6, 6, 3)
+    on_geodesics = g.vertices[:-1]  # all but m
+    _assert_same_json(spg_to_json(h), _old_form(_old_spg(h)), on_geodesics)
+
+
+def test_reduction_and_instance_json_read_as_the_old_layout(capsys, tmp_path):
+    inst = _odd_instance()
+    path = tmp_path / "odd.json"
+    path.write_text(graph_to_json(inst.graph))
+    argv = ["reduce", "--in", str(path), "--a", inst.source, "--b", inst.target]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    red = reduce_instance(inst)
+    assert red.vertex_map["m"] is None
+    old = {
+        "collapsed": False,
+        "source": red.source,
+        "target": red.target,
+        "vertex_map": dict(red.vertex_map),
+        "graph": _old_graph(red.graph),
+    }
+    _assert_same_json(out, _old_form(old, sort_keys=True), inst.graph.vertices)
+
+    result = hypercube_base(2)
+    code, out, _ = _run(capsys, ["construct", "hypercube", "2"])
+    assert code == 0
+    inst = result.instance
+    old = {
+        "source": inst.source,
+        "target": inst.target,
+        "name": result.name,
+        "graph": _old_graph(inst.graph),
+    }
+    _assert_same_json(out, _old_form(old, sort_keys=True))
+
+
+def test_dot_quotes_like_json_dumps():
+    h = build_spg(_odd_instance())
+    name = 'q3 "odd"'
+    old = [f"graph {json.dumps(name)} {{", "  node [shape=box, fontsize=10];"]
+    old += [f"  {i} [label={json.dumps(' '.join(geo))}];" for i, geo in enumerate(h.geodesics)]
+    for i, j in h.sorted_edges():
+        pos = h.edge_index[(i, j)]
+        old.append(f'  {i} -- {j} [label="{pos}", color={json.dumps(index_color(pos))}];')
+    assert spg_to_dot(h, name) == "\n".join(old) + "\n}\n"
+
+
+def test_old_layout_spg_files_still_load_verify_and_export(capsys, tmp_path):
+    h = build_spg(BaseInstance(complete_bipartite_graph(2, 3), "a0", "a1"))
+    old = tmp_path / "old.json"
+    old.write_text(_old_form(_old_spg(h)) + "\n")
+    loaded = spg_from_json(old.read_text())
+    assert (loaded.geodesics, loaded.edge_index) == (h.geodesics, h.edge_index)
+    code, out, _ = _run(capsys, ["verify", "all", "--spg", str(old)])
+    assert code == 0, out
+    code, out, _ = _run(capsys, ["export", "--spg", str(old)])
+    assert code == 0
+    assert out == spg_to_dot(h)
+
+
+def test_compute_writes_one_line_per_geodesic_and_per_edge(capsys, k23_file, tmp_path):
+    out_file, dot_file = tmp_path / "spg.json", tmp_path / "spg.dot"
+    code, _, _ = _run(
+        capsys,
+        ["compute", "--in", k23_file, "--a", "b0", "--b", "b1",
+         "--out", str(out_file), "--dot", str(dot_file)],
+    )
+    assert code == 0
+    h = build_spg(BaseInstance(complete_bipartite_graph(2, 3), "b0", "b1"))
+    assert (h.num_vertices, h.num_edges) == (2, 1)
+    lines = out_file.read_text().splitlines()
+    # braces and the two array headers and closers frame one record a line
+    assert len(lines) == h.num_vertices + h.num_edges + 6
+    records = [json.loads(line.strip().rstrip(",")) for line in lines if line.startswith("    ")]
+    assert records == [list(g) for g in h.geodesics] + [{"u": 0, "w": 1, "index": 1}]
+    dot = dot_file.read_text()
+    assert dot.count(" -- ") == h.num_edges
+    assert dot.count('[label="') == h.num_vertices + h.num_edges
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--in", "{k23}", "--a", "a0", "--b", "a1"],
+        ["reduce", "--in", "{k23}", "--a", "a0", "--b", "a1"],
+        ["cayley", "3"],
+        ["construct", "path", "3"],
+        ["grid", "base", "--dims", "1,2"],
+        ["export", "--spg", "{spg}"],
+    ],
+    ids=["compute", "reduce", "cayley", "construct", "grid base", "export"],
+)
+def test_every_writer_ends_in_one_newline(capsys, k23_file, tmp_path, argv):
+    spg_file = tmp_path / "h.json"
+    h = build_spg(BaseInstance(complete_bipartite_graph(2, 3), "a0", "a1"))
+    spg_file.write_text(spg_to_json(h))
+    argv = [a.format(k23=k23_file, spg=spg_file) for a in argv]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    out_file = tmp_path / "out"
+    code, _, _ = _run(capsys, [*argv, "--out", str(out_file)])
+    assert code == 0
+    text = out_file.read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n")

@@ -1,9 +1,14 @@
 """Tests for the base-instance constructions and gluing operations."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import strategies
 
 from spgraphs import (
     BaseInstance,
+    GeodesicOverflowError,
     Graph,
     GraphError,
     NoGeodesicError,
@@ -199,6 +204,30 @@ def test_two_sum_through_cases():
     direct = build_spg(two_sum(near_x_1, "a", near_y_2, "b", "x", "y"))
     assert direct.geodesics == (("L:a", "x", "y", "R:b"),)
     assert find_isomorphism(direct.to_graph(), prediction.predicted) is not None
+
+
+@st.composite
+def _two_sum_sides(draw):
+    """A graph with the shared edge x-y and an anchor off it."""
+    g = draw(strategies.graphs(min_vertices=3, max_vertices=6))
+    g = Graph(g.vertices, g.edges | {("0", "1")})
+    g = g.relabel({v: {"0": "x", "1": "y"}.get(v, v) for v in g.vertices})
+    return g, draw(st.sampled_from([v for v in g.vertices if v not in ("x", "y")]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_sum_sides(), _two_sum_sides())
+def test_two_sum_refuses_with_the_exact_prediction_size(side1, side2):
+    (g1, a), (g2, b) = side1, side2
+    try:
+        prediction = predict_two_sum(g1, a, g2, b, "x", "y")
+    except NoGeodesicError:
+        assume(False)
+    size = prediction.predicted.num_vertices
+    assert predict_two_sum(g1, a, g2, b, "x", "y", limit=size).predicted == prediction.predicted
+    with pytest.raises(GeodesicOverflowError) as info:
+        predict_two_sum(g1, a, g2, b, "x", "y", limit=size - 1)
+    assert info.value.count == size
 
 
 def test_two_sum_non_overlap_ignores_the_shared_edge():

@@ -275,13 +275,27 @@ def test_sum_checks_reach_past_the_isomorphism_cap():
     assert report.stats["vertices"] == 208
 
 
+def _fan_side(apex, routes, ends):
+    """``apex`` joined to each of ``ends`` by ``routes`` two-step routes, plus
+    the shared edge x-y; ``ends`` is ("x", "y") or one of them."""
+    mids = [f"m{i}" for i in range(routes)]
+    edges = [(apex, m) for m in mids] + [(m, e) for m in mids for e in ends] + [("x", "y")]
+    return Graph([apex, "x", "y", *mids], edges)
+
+
 @pytest.mark.parametrize(
-    "kind, side, count",
-    [("one-sum", hypercube_base(6), 64 * 64), ("union", hypercube_base(10), 2 * 1024)],
-    ids=["one-sum", "union"],
+    "kind, parts, count",
+    [
+        ("one-sum", (hypercube_base(6).instance,) * 2, 64 * 64),
+        ("union", (hypercube_base(10).instance,) * 2, 2 * 1024),
+        # a matching two-sum: 900 geodesics through each shared vertex
+        ("two-sum", (_fan_side("a", 30, "xy"), "a", _fan_side("b", 30, "xy"), "b", "x", "y"),
+         2 * 900),
+    ],
+    ids=["one-sum", "union", "two-sum"],
 )
 def test_sum_check_refuses_before_building_a_prediction_over_the_limit(
-    monkeypatch, kind, side, count
+    monkeypatch, kind, parts, count
 ):
     import spgraphs.constructions
 
@@ -295,8 +309,18 @@ def test_sum_check_refuses_before_building_a_prediction_over_the_limit(
 
     monkeypatch.setattr(spgraphs.constructions, "Graph", small_graph)
     with pytest.raises(GeodesicOverflowError) as info:
-        check_sum_theorems(kind, side.instance, side.instance, limit=limit)
+        check_sum_theorems(kind, *parts, limit=limit)
     assert (info.value.count, info.value.limit) == (count, limit)
+
+
+def test_overlap_two_sum_counts_a_geodesic_in_both_parts_once():
+    # a reaches x by 30 routes and y only over x; b is reached from y by 30
+    # routes and from x only over y. Each part has all 900 geodesics, and
+    # the shortest path graph is the product of two 30-cliques.
+    parts = (_fan_side("a", 30, "x"), "a", _fan_side("b", 30, "y"), "b", "x", "y")
+    report = check_sum_theorems("two-sum", *parts, limit=1000)
+    assert report.passed, report
+    assert report.stats == {"case": "overlap", "vertices": 900, "edges": 2 * 30 * (30 * 29 // 2)}
 
 
 def _drop_an_edge(graph):
