@@ -298,7 +298,8 @@ def _random_spec(flag: str | None, usage: str) -> tuple[int, ...]:
 
 
 def _corpus_from_flag(args: argparse.Namespace) -> tuple[Iterable[BaseInstance], int | None]:
-    """Instances plus the seed in effect (None when not seeded)."""
+    """Instances plus the seed in effect (None when not seeded). An
+    exhaustive corpus is a generator: every caller reads it once."""
     flag = args.corpus
     if flag is None:
         raise GraphError("verify needs --corpus (exhaustive:N, random:COUNT:MAXN:SEED, file:PATH)")
@@ -307,7 +308,7 @@ def _corpus_from_flag(args: argparse.Namespace) -> tuple[Iterable[BaseInstance],
         n = _int_or_usage(rest, "exhaustive corpus size")
         if not 2 <= n <= 8:
             raise GraphError("exhaustive corpus supports 2..8 vertices")
-        return list(exhaustive_instances(n)), None
+        return exhaustive_instances(n), None
     if kind == "random":
         count, max_n, seed = _random_spec(flag, "random corpus spec is random:COUNT:MAXN:SEED")
         return random_instances(count, max_vertices=max_n, seed=seed), seed

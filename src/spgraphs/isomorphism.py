@@ -1,7 +1,16 @@
-"""Graph isomorphism by color refinement plus backtracking search.
+"""Graph isomorphism: a canonical form, and a witness search.
 
-The search is exact: refinement only prunes. On success a full vertex
-bijection is returned so callers can verify the witness independently.
+``canonical_form`` labels a graph canonically, after McKay & Piperno,
+*Practical Graph Isomorphism II* (2014): refine the ordered vertex
+partition until it is equitable, individualize each vertex of the first
+non-singleton cell in turn, and keep the largest adjacency code over the
+leaves of that search tree. Two graphs get equal forms exactly when they
+are isomorphic, so duplicates are removed by set membership
+(``verify.enumerate_graphs``), not by pairwise search. The tree is pruned
+only by twins; the argument is in ``_canonical_code``.
+
+``find_isomorphism`` is exact too (refinement only prunes it) and returns
+a full vertex bijection, so callers can verify the witness independently.
 Intended for desk-scale graphs (a few hundred vertices).
 """
 
@@ -93,6 +102,118 @@ def _search_order(g: Graph, colors: list[int]) -> list[int]:
         chosen_mask |= 1 << pick
         remaining.discard(pick)
     return chosen
+
+
+def _refine(bits: list[int], cells: list[int], splitters: list[int]) -> list[int]:
+    """Refine the ordered partition ``cells`` (one vertex bitmask per cell)
+    of the graph with adjacency rows ``bits`` until it is equitable.
+
+    Each splitter in turn splits every cell by its vertices' neighbour
+    counts into the splitter, the parts ordered by count; each new part
+    becomes a splitter, so at the end every cell has split every cell.
+    ``splitters`` holds what the partition is not yet equitable against:
+    all vertices at the root, the new singleton after individualizing
+    (counts into the rest of its old cell follow by subtraction). Every
+    step reads only counts and positions, never labels.
+    """
+    n = len(bits)
+    queue = list(splitters)
+    for splitter in queue:
+        if len(cells) == n:
+            break
+        out: list[int] = []
+        if not splitter & (splitter - 1):
+            # one vertex: a count is 0 or 1, so split by its neighbourhood
+            row = bits[splitter.bit_length() - 1]
+            for cell in cells:
+                inside = cell & row
+                if inside and inside != cell:
+                    out += (cell ^ inside, inside)
+                    queue += (cell ^ inside, inside)
+                else:
+                    out.append(cell)
+            cells = out
+            continue
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            parts: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                count = (bits[low.bit_length() - 1] & splitter).bit_count()
+                parts[count] = parts.get(count, 0) | low
+                rest ^= low
+            if len(parts) == 1:
+                out.append(cell)
+            else:
+                split = [parts[count] for count in sorted(parts)]
+                out += split
+                queue += split
+        cells = out
+    return cells
+
+
+def _canonical_code(bits: list[int]) -> int:
+    """The largest adjacency code over the leaves of the individualization
+    tree of the graph with adjacency rows ``bits``.
+
+    A leaf is a discrete equitable partition, read as a vertex order; its
+    code lists the upper triangle of the adjacency matrix in that order.
+    Relabelling the graph relabels the whole tree, so the set of leaf codes,
+    and its maximum, depend only on the isomorphism class, and the code
+    determines the graph, so equal codes mean isomorphic graphs.
+
+    The only prune is by twins: vertices u, w of the target cell whose
+    neighbourhoods agree apart from each other. Swapping them is then an
+    automorphism, and it fixes every individualized vertex (those are
+    singletons, and u and w share a larger cell), hence the partition at
+    this node. It maps the subtree below individualizing u onto the one
+    below w leaf for leaf, and the leaves it pairs have equal codes, so
+    the subtree of w adds no new code.
+    """
+    n = len(bits)
+    best = 0
+
+    def search(cells: list[int], splitters: list[int]) -> None:
+        nonlocal best
+        cells = _refine(bits, cells, splitters)
+        if len(cells) == n:
+            order = [cell.bit_length() - 1 for cell in cells]
+            code = 0
+            for i, v in enumerate(order):
+                row = bits[v]
+                for w in order[i + 1 :]:
+                    code = code << 1 | (row >> w & 1)
+            best = max(best, code)
+            return
+        k = next(k for k, cell in enumerate(cells) if cell & (cell - 1))
+        target = cells[k]
+        kept: list[int] = []
+        rest = target
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if any(bits[v] & ~(1 << u) == bits[u] & ~low for u in kept):
+                continue
+            kept.append(v)
+            search(cells[:k] + [low, target ^ low] + cells[k + 1 :], [low])
+
+    everything = [(1 << n) - 1] if n else []
+    search(everything, everything)
+    return best
+
+
+def canonical_form(g: Graph) -> tuple[int, int]:
+    """``(n, code)``, equal for two graphs exactly when they are isomorphic.
+
+    >>> p = Graph("abc", [("a", "b"), ("b", "c")])
+    >>> canonical_form(p) == canonical_form(Graph("xyz", [("x", "z"), ("z", "y")]))
+    True
+    """
+    return g.num_vertices, _canonical_code(g.adjacency_bits)
 
 
 def find_isomorphism(

@@ -60,7 +60,7 @@ from .grid import (
     tournament_of,
     words_array,
 )
-from .isomorphism import find_isomorphism, iso_invariant
+from .isomorphism import _canonical_code, find_isomorphism
 from .patterns import DEFAULT_WORK_LIMIT, find_induced, has_induced
 from .spg import (
     SpGraph,
@@ -453,6 +453,9 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     Builds up one vertex at a time: every graph on n vertices arises from
     some graph on n-1 vertices by adding one vertex with some neighborhood,
     so scanning all neighborhoods of all smaller classes is exhaustive.
+    Each candidate is kept when its canonical code (``canonical_form``,
+    refinement and individualization pruned only by twins) is new, so the
+    first candidate of each class is the one kept.
 
     >>> [len(enumerate_graphs(n)) for n in range(1, 5)]
     [1, 2, 4, 11]
@@ -462,22 +465,22 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(["0"]),)
     out: list[Graph] = []
-    buckets: dict[object, list[Graph]] = {}
-    new_vertex = str(n - 1)
-    for g in enumerate_graphs(n - 1):
+    seen: set[int] = set()
+    top = n - 1
+    new_vertex = str(top)
+    for g in enumerate_graphs(top):
         base = g.vertices
-        for mask in range(2 ** (n - 1)):
-            edges = list(g.sorted_edges())
-            edges += [
-                (base[t], new_vertex) for t in range(n - 1) if mask >> t & 1
-            ]
-            h = Graph(base + (new_vertex,), edges)
-            key = iso_invariant(h)
-            bucket = buckets.setdefault(key, [])
-            if any(find_isomorphism(h, seen) is not None for seen in bucket):
+        bits = g.adjacency_bits
+        edges = g.sorted_edges()
+        for mask in range(2**top):
+            code = _canonical_code(
+                [b | (mask >> t & 1) << top for t, b in enumerate(bits)] + [mask]
+            )
+            if code in seen:
                 continue
-            bucket.append(h)
-            out.append(h)
+            seen.add(code)
+            grown = edges + [(base[t], new_vertex) for t in range(top) if mask >> t & 1]
+            out.append(Graph(base + (new_vertex,), grown))
     return tuple(out)
 
 

@@ -1,4 +1,6 @@
-"""Tests for the isomorphism search and its invariant."""
+"""Tests for the canonical form, the isomorphism search and its invariant."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ import strategies
 from spgraphs import (
     Graph,
     IsomorphismSizeError,
+    canonical_form,
     cartesian_product,
     complete_bipartite_graph,
     complete_graph,
@@ -19,7 +22,9 @@ from spgraphs import (
     is_isomorphic,
     iso_invariant,
     path_graph,
+    star_graph,
 )
+from spgraphs.verify import enumerate_graphs
 
 
 def _check_witness(g1: Graph, g2: Graph, mapping: dict) -> None:
@@ -79,3 +84,121 @@ def test_relabeled_graphs_are_recognized(g, rng):
 @given(strategies.graphs(max_vertices=6), strategies.graphs(max_vertices=6))
 def test_search_matches_permutation_scan(g1, g2):
     assert is_isomorphic(g1, g2) == oracles.brute_isomorphic(g1, g2)
+
+
+# -- canonical form -------------------------------------------------------------
+
+
+def _shuffled(g: Graph, rng) -> Graph:
+    images = [f"v{i}" for i in range(g.num_vertices)]
+    rng.shuffle(images)
+    return g.relabel(dict(zip(g.vertices, images)))
+
+
+def _toggled(g: Graph, pair: tuple[str, str]) -> Graph:
+    u, v = pair
+    if g.has_edge(u, v):
+        return g.without_edge(u, v)
+    return Graph(g.vertices, [*g.edges, pair])
+
+
+def _pairs(g: Graph) -> list[tuple[str, str]]:
+    return [(u, v) for i, u in enumerate(g.vertices) for v in g.vertices[i + 1 :]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.graphs(max_vertices=7), st.randoms(use_true_random=False))
+def test_canonical_form_ignores_labels(g, rng):
+    assert canonical_form(g) == canonical_form(_shuffled(g, rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.graphs(max_vertices=6), strategies.graphs(max_vertices=6))
+def test_canonical_form_matches_permutation_scan(g1, g2):
+    assert (canonical_form(g1) == canonical_form(g2)) == oracles.brute_isomorphic(g1, g2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.graphs(min_vertices=2, max_vertices=7), st.data())
+def test_canonical_form_on_one_edge_toggles(g, data):
+    # g against g with one pair toggled, and two such toggles against each
+    # other: near misses that differ in one or two pairs.
+    pairs = _pairs(g)
+    first = _toggled(g, data.draw(st.sampled_from(pairs)))
+    second = _toggled(g, data.draw(st.sampled_from(pairs)))
+    rng = data.draw(st.randoms(use_true_random=False))
+    for h1, h2 in ((g, first), (first, second)):
+        h2 = _shuffled(h2, rng)
+        assert (canonical_form(h1) == canonical_form(h2)) == oracles.brute_isomorphic(h1, h2)
+
+
+def _complement(g: Graph) -> Graph:
+    return Graph(g.vertices, [pair for pair in _pairs(g) if not g.has_edge(*pair)])
+
+
+def test_canonical_form_tries_every_start_in_a_cell_refinement_cannot_split():
+    # Every vertex of C3 + C4 has degree 2, so refinement leaves one cell,
+    # and a triangle vertex and a square vertex lead to different leaves:
+    # a search that individualized only one of them would depend on labels.
+    c3_c4 = disjoint_union(cycle_graph(3), cycle_graph(4))
+    for g in (c3_c4, _complement(c3_c4)):
+        names = list(g.vertices)
+        forms = {
+            canonical_form(g.relabel(dict(zip(names, names[k:] + names[:k]))))
+            for k in range(len(names))
+        }
+        assert forms == {canonical_form(g)}
+
+
+def test_canonical_form_names_every_class_on_seven_vertices():
+    rng = random.Random(7)
+    classes = enumerate_graphs(7)
+    forms = {canonical_form(g) for g in classes}
+    assert len(forms) == len(classes)
+    for g in classes:
+        assert canonical_form(g) == canonical_form(_shuffled(g, rng))
+
+
+def test_canonical_form_separates_hard_pairs():
+    c6 = cycle_graph(6)
+    two_triangles = disjoint_union(complete_graph(3), complete_graph(3))
+    assert canonical_form(c6) != canonical_form(two_triangles)
+    prism = cartesian_product(cycle_graph(3), path_graph(1))
+    assert canonical_form(complete_bipartite_graph(3, 3)) != canonical_form(prism)
+
+
+def _complete_multipartite(*sides: int) -> Graph:
+    parts = [[f"{k}.{i}" for i in range(size)] for k, size in enumerate(sides)]
+    edges = [
+        (u, v) for k, part in enumerate(parts) for other in parts[k + 1 :]
+        for u in part for v in other
+    ]
+    return Graph([v for part in parts for v in part], edges)
+
+
+TWIN_RICH = {
+    "K7": complete_graph(7),
+    "empty7": empty_graph(7),
+    "K3,4": complete_bipartite_graph(3, 4),
+    "K2,2,3": _complete_multipartite(2, 2, 3),
+    "K1,6": star_graph(6),
+}
+
+
+@pytest.mark.parametrize("name", TWIN_RICH)
+def test_canonical_form_on_twin_rich_graphs(name):
+    # Twins are the only prune, and these graphs are made of twins: the
+    # graphs one pair away must fall into classes by form exactly as they
+    # fall into isomorphism classes.
+    g = TWIN_RICH[name]
+    rng = random.Random(name)
+    classes: dict[tuple[int, int], list[Graph]] = {}
+    for h in [g] + [_toggled(g, pair) for pair in _pairs(g)]:
+        form = canonical_form(h)
+        assert form == canonical_form(_shuffled(h, rng))
+        classes.setdefault(form, []).append(h)
+    firsts = [members[0] for members in classes.values()]
+    for members in classes.values():
+        assert all(oracles.brute_isomorphic(members[0], h) for h in members[1:])
+    for i, h1 in enumerate(firsts):
+        assert not any(oracles.brute_isomorphic(h1, h2) for h2 in firsts[i + 1 :])

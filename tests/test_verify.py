@@ -6,6 +6,7 @@ checker must be able to fail, so each one is fed a hand-built counterexample
 that a correct shortest path graph could never produce.
 """
 
+import hashlib
 import json
 from itertools import combinations
 
@@ -379,9 +380,20 @@ def test_two_sum_check_fails_on_a_damaged_prediction(monkeypatch, damage):
 # -- corpora --------------------------------------------------------------------
 
 
+# sha256 of repr([(g.vertices, g.sorted_edges()) for g in enumerate_graphs(n)]):
+# any change of representative or of order changes it.
+CORPUS_DIGESTS = {
+    6: "fb17fd1ff9d875943d2088bd0480ec8e145caf261e38849fa4affceaf6473ff8",
+    7: "d273351660214a3b00625d83a7c9e50df56ac9663612643f358d4cff0a248706",
+}
+
+
 def test_graph_class_counts_match_known_values():
-    assert [len(enumerate_graphs(n)) for n in range(1, 6)] == [1, 2, 4, 11, 34]
-    assert [len(connected_graphs(n)) for n in range(1, 6)] == [1, 1, 2, 6, 21]
+    assert [len(enumerate_graphs(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    assert [len(connected_graphs(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+    for n, digest in CORPUS_DIGESTS.items():
+        listing = repr([(g.vertices, g.sorted_edges()) for g in enumerate_graphs(n)])
+        assert hashlib.sha256(listing.encode()).hexdigest() == digest
     with pytest.raises(GraphError):
         enumerate_graphs(0)
 
