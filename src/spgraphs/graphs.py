@@ -14,7 +14,10 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii as quote
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from .spg import SpGraph
 
 
 class GraphError(ValueError):
@@ -202,57 +205,61 @@ def is_connected(g: Graph) -> bool:
     return all(d != math.inf for d in distances(g, g.vertices[0]).values())
 
 
-def connected_components(g: Graph) -> list[tuple[str, ...]]:
+def iter_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def connected_components(g: Graph | SpGraph) -> list[tuple]:
     """Vertex sets of the components, each sorted, ordered by first vertex."""
-    seen: set[str] = set()
-    comps: list[tuple[str, ...]] = []
-    adj = g.adjacency
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
+    bits = g.adjacency_bits
+    names = g.vertices
+    comps = []
+    left = (1 << len(bits)) - 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for x in iter_bits(frontier):
+                reach |= bits[x]
+            frontier = reach & ~comp
+            comp |= frontier
+        left &= ~comp
+        comps.append(tuple(names[i] for i in iter_bits(comp)))
     return comps
 
 
-def girth(g: Graph) -> int | float:
+def girth(g: Graph | SpGraph) -> int | float:
     """Length of a shortest cycle, ``math.inf`` for forests.
 
-    Computed edge by edge: the shortest cycle through edge (u, v) is one more
-    than the u,v-distance once that edge is removed.
+    Computed by a layered BFS from every root: an edge inside layer k closes
+    a cycle of length at most 2k + 1, and a vertex of layer k + 1 with two
+    neighbours in layer k one of length at most 2k + 2. From a root on a
+    shortest cycle the first such hit is exact.
     """
+    bits = g.adjacency_bits
     best: int | float = math.inf
-    adj = {v: set(ns) for v, ns in g.adjacency.items()}
-    for u, v in g.sorted_edges():
-        adj[u].discard(v)
-        adj[v].discard(u)
-        dist = {u: 0}
-        queue = deque([u])
-        found = math.inf
-        while queue:
-            x = queue.popleft()
-            dx = dist[x]
-            if dx + 1 >= best:
+    for root in range(len(bits)):
+        seen = frontier = 1 << root
+        depth = 0
+        while frontier and 2 * depth + 1 < best:
+            if any(bits[x] & frontier for x in iter_bits(frontier)):
+                best = 2 * depth + 1
                 break
-            for w in adj[x]:
-                if w not in dist:
-                    if w == v:
-                        found = dx + 2
-                        queue.clear()
-                        break
-                    dist[w] = dx + 1
-                    queue.append(w)
-        best = min(best, found)
-        adj[u].add(v)
-        adj[v].add(u)
+            reach = 0
+            for x in iter_bits(frontier):
+                reach |= bits[x]
+            frontier = reach & ~seen
+            if 2 * depth + 2 < best and any(
+                (bits[w] & seen).bit_count() > 1 for w in iter_bits(frontier)
+            ):
+                best = 2 * depth + 2
+                break
+            seen |= frontier
+            depth += 1
         if best == 3:
             return 3
     return best

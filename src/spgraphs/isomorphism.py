@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 
 DEFAULT_MAX_VERTICES = 200
 
@@ -51,12 +51,7 @@ def color_refinement(g: Graph) -> list[int]:
     signature: list[object] = [(bits[i].bit_count(), tri[i]) for i in range(n)]
     ranks = {sig: r for r, sig in enumerate(sorted(set(signature)))}
     colors = [ranks[sig] for sig in signature]
-    neighbors = [[] for _ in range(n)]
-    idx = g.index
-    for u, v in g.edges:
-        iu, iv = idx[u], idx[v]
-        neighbors[iu].append(iv)
-        neighbors[iv].append(iu)
+    neighbors = [list(iter_bits(b)) for b in bits]
     while True:
         signature = [
             (colors[i], tuple(sorted(colors[w] for w in neighbors[i]))) for i in range(n)
@@ -72,12 +67,7 @@ def iso_invariant(g: Graph) -> tuple:
     """A hashable isomorphism invariant, useful for bucketing candidates."""
     n = g.num_vertices
     colors = color_refinement(g)
-    neighbors: dict[int, list[int]] = {i: [] for i in range(n)}
-    idx = g.index
-    for u, v in g.edges:
-        iu, iv = idx[u], idx[v]
-        neighbors[iu].append(iv)
-        neighbors[iv].append(iu)
+    neighbors = [list(iter_bits(b)) for b in g.adjacency_bits]
     profile = tuple(
         sorted((colors[i], tuple(sorted(colors[w] for w in neighbors[i]))) for i in range(n))
     )

@@ -1,6 +1,9 @@
 """Enumeration of small induced subgraphs: paths, claws, and cycles.
 
-Each occurrence is reported once, as a canonical vertex tuple:
+The searches read only ``g.vertices`` and ``g.adjacency_bits``, so they
+take a ``Graph`` (and report vertex names) or an ``SpGraph`` (and report
+geodesic indices). Each occurrence is reported once, as a canonical vertex
+tuple in the graph's vertex order:
 
 * ``P3``: (u, m, w) with m the middle vertex and u < w,
 * ``claw``: (c, x, y, z) with c the center and x < y < z,
@@ -16,7 +19,8 @@ from __future__ import annotations
 import re
 from itertools import combinations
 
-from .graphs import Graph
+from .graphs import Graph, iter_bits
+from .spg import SpGraph
 
 DEFAULT_WORK_LIMIT = 10**8
 
@@ -45,8 +49,8 @@ class _Budget:
 
 
 def find_induced(
-    g: Graph, pattern: str, *, work_limit: int = DEFAULT_WORK_LIMIT
-) -> list[tuple[str, ...]]:
+    g: Graph | SpGraph, pattern: str, *, work_limit: int = DEFAULT_WORK_LIMIT
+) -> list[tuple]:
     """All induced occurrences of ``pattern`` in ``g``, sorted.
 
     ``pattern`` is one of ``"P3"``, ``"claw"`` or ``"C<k>"`` with k >= 3.
@@ -60,10 +64,11 @@ def find_induced(
     []
     """
     budget = _Budget(pattern, work_limit)
+    bits = g.adjacency_bits
     if pattern == "P3":
-        found = _induced_p3(g, budget)
+        found = _induced_p3(bits, budget)
     elif pattern == "claw":
-        found = _induced_claws(g, budget)
+        found = _induced_claws(bits, budget)
     else:
         match = _CYCLE_RE.match(pattern)
         if not match:
@@ -71,42 +76,33 @@ def find_induced(
         k = int(match.group(1))
         if k < 3:
             raise ValueError("cycles need k >= 3")
-        found = _triangles(g, budget) if k == 3 else _induced_cycles(g, k, budget)
-    return sorted(found)
+        found = _triangles(bits, budget) if k == 3 else _induced_cycles(bits, k, budget)
+    names = g.vertices
+    return [tuple(names[v] for v in t) for t in sorted(found)]
 
 
-def has_induced(g: Graph, pattern: str, *, work_limit: int = DEFAULT_WORK_LIMIT) -> bool:
+def has_induced(
+    g: Graph | SpGraph, pattern: str, *, work_limit: int = DEFAULT_WORK_LIMIT
+) -> bool:
     """Whether at least one induced occurrence exists (still full search)."""
     return bool(find_induced(g, pattern, work_limit=work_limit))
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _induced_p3(g: Graph, budget: _Budget) -> list[tuple[str, ...]]:
+def _induced_p3(bits: list[int], budget: _Budget) -> list[tuple[int, ...]]:
     out = []
-    names = g.vertices
-    bits = g.adjacency_bits
-    for mid in range(len(names)):
-        nbrs = list(_iter_bits(bits[mid]))
+    for mid in range(len(bits)):
+        nbrs = list(iter_bits(bits[mid]))
         budget.spend(len(nbrs) * max(len(nbrs) - 1, 0) // 2)
         for i, j in combinations(nbrs, 2):
             if not bits[i] >> j & 1:
-                u, w = names[i], names[j]
-                out.append((u, names[mid], w) if u < w else (w, names[mid], u))
+                out.append((i, mid, j))
     return out
 
 
-def _induced_claws(g: Graph, budget: _Budget) -> list[tuple[str, ...]]:
+def _induced_claws(bits: list[int], budget: _Budget) -> list[tuple[int, ...]]:
     out = []
-    names = g.vertices
-    bits = g.adjacency_bits
-    for center in range(len(names)):
-        nbrs = list(_iter_bits(bits[center]))
+    for center in range(len(bits)):
+        nbrs = list(iter_bits(bits[center]))
         if len(nbrs) < 3:
             continue
         combos = len(nbrs) * (len(nbrs) - 1) * (len(nbrs) - 2) // 6
@@ -114,28 +110,24 @@ def _induced_claws(g: Graph, budget: _Budget) -> list[tuple[str, ...]]:
         for i, j, l in combinations(nbrs, 3):
             if bits[i] >> j & 1 or bits[i] >> l & 1 or bits[j] >> l & 1:
                 continue
-            leaves = sorted((names[i], names[j], names[l]))
-            out.append((names[center], *leaves))
+            out.append((center, i, j, l))
     return out
 
 
-def _triangles(g: Graph, budget: _Budget) -> list[tuple[str, ...]]:
+def _triangles(bits: list[int], budget: _Budget) -> list[tuple[int, ...]]:
     out = []
-    names = g.vertices
-    bits = g.adjacency_bits
-    n = len(names)
-    for i in range(n):
+    for i in range(len(bits)):
         higher = bits[i] >> (i + 1) << (i + 1)
-        for j in _iter_bits(higher):
+        for j in iter_bits(higher):
             both = bits[j] & higher
             budget.spend(1)
-            for l in _iter_bits(both >> (j + 1) << (j + 1)):
+            for l in iter_bits(both >> (j + 1) << (j + 1)):
                 budget.spend(1)
-                out.append((names[i], names[j], names[l]))
+                out.append((i, j, l))
     return out
 
 
-def _induced_cycles(g: Graph, k: int, budget: _Budget) -> list[tuple[str, ...]]:
+def _induced_cycles(bits: list[int], k: int, budget: _Budget) -> list[tuple[int, ...]]:
     """Induced k-cycles for k >= 4 by DFS over induced paths.
 
     A cycle is generated exactly once: its smallest vertex s is the DFS
@@ -143,9 +135,7 @@ def _induced_cycles(g: Graph, k: int, budget: _Budget) -> list[tuple[str, ...]]:
     path[1] < path[-1] is kept.
     """
     out = []
-    names = g.vertices
-    bits = g.adjacency_bits
-    n = len(names)
+    n = len(bits)
     all_mask = (1 << n) - 1
     for s in range(n):
         gt_mask = all_mask >> (s + 1) << (s + 1)
@@ -153,7 +143,7 @@ def _induced_cycles(g: Graph, k: int, budget: _Budget) -> list[tuple[str, ...]]:
         first_steps = adj_s & gt_mask
         # path: [s, v1, ..., vt]; banned: union of adjacencies of interior
         # vertices p[1..t-1]; adjacency to s is excluded until the final step.
-        stack = [([s, v1], 1 << s | 1 << v1, 0) for v1 in _iter_bits(first_steps)]
+        stack = [([s, v1], 1 << s | 1 << v1, 0) for v1 in iter_bits(first_steps)]
         budget.spend(first_steps.bit_count())
         while stack:
             path, path_mask, banned = stack.pop()
@@ -162,13 +152,13 @@ def _induced_cycles(g: Graph, k: int, budget: _Budget) -> list[tuple[str, ...]]:
                 closers = bits[last] & adj_s & gt_mask & ~path_mask & ~banned
                 budget.spend(closers.bit_count())
                 v1 = path[1]
-                for x in _iter_bits(closers):
+                for x in iter_bits(closers):
                     if v1 < x:
-                        out.append(tuple(names[v] for v in path) + (names[x],))
+                        out.append((*path, x))
                 continue
             nxt = bits[last] & gt_mask & ~path_mask & ~banned & ~adj_s
             budget.spend(max(nxt.bit_count(), 1))
             new_banned = banned | bits[last]
-            for x in _iter_bits(nxt):
+            for x in iter_bits(nxt):
                 stack.append((path + [x], path_mask | 1 << x, new_banned))
     return out

@@ -44,13 +44,16 @@ class SpgStructureError(ValueError):
 class SpGraph:
     """A shortest path graph: indexed geodesics plus indexed edges.
 
+    As a graph its vertices are the geodesic indices ``0..n-1``, and
+    ``adjacency_bits`` has the layout of ``Graph.adjacency_bits``, so the
+    graph algorithms and pattern searches take an SpGraph directly.
     ``edge_index`` maps each edge (i, j) with i < j to its difference
     index. Instances built by hand (or loaded from JSON) are validated for
     shape only, not for realizability, so theorem checkers can be fed
     deliberately broken inputs.
     """
 
-    __slots__ = ("geodesics", "edge_index", "d", "_neighbors")
+    __slots__ = ("geodesics", "edge_index", "d", "_bits")
 
     def __init__(
         self,
@@ -82,7 +85,7 @@ class SpGraph:
                 raise SpgStructureError(f"difference index {pos} out of range for d={self.d}")
             checked[(i, j)] = pos
         self.edge_index: dict[tuple[int, int], int] = checked
-        self._neighbors: list[tuple[int, ...]] | None = None
+        self._bits: list[int] | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -96,14 +99,19 @@ class SpGraph:
         return sorted(self.edge_index)
 
     @property
-    def neighbors(self) -> list[tuple[int, ...]]:
-        if self._neighbors is None:
-            nbrs: list[list[int]] = [[] for _ in range(self.num_vertices)]
+    def vertices(self) -> range:
+        return range(self.num_vertices)
+
+    @property
+    def adjacency_bits(self) -> list[int]:
+        """Adjacency as one int bitmask per geodesic index."""
+        if self._bits is None:
+            bits = [0] * self.num_vertices
             for i, j in self.edge_index:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-            self._neighbors = [tuple(sorted(ws)) for ws in nbrs]
-        return self._neighbors
+                bits[i] |= 1 << j
+                bits[j] |= 1 << i
+            self._bits = bits
+        return self._bits
 
     def to_graph(self, prefix: str = "g") -> Graph:
         verts = [f"{prefix}{i}" for i in range(self.num_vertices)]

@@ -46,6 +46,7 @@ from .graphs import (
     distances,
     girth,
     is_connected,
+    iter_bits,
 )
 from .grid import (
     GridSpec,
@@ -61,7 +62,7 @@ from .grid import (
     words_array,
 )
 from .isomorphism import _canonical_code, find_isomorphism
-from .patterns import DEFAULT_WORK_LIMIT, find_induced, has_induced
+from .patterns import find_induced, has_induced
 from .spg import (
     SpGraph,
     SpgStructureError,
@@ -107,19 +108,15 @@ def _as_spg(obj: BaseInstance | SpGraph, *, limit: int) -> SpGraph:
     raise TypeError(f"expected BaseInstance or SpGraph, got {type(obj).__name__}")
 
 
-def _neighbor_masks(h: SpGraph) -> list[int]:
-    masks = [0] * h.num_vertices
-    for i, j in h.edge_index:
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    return masks
-
-
-def _geo_str(h: SpGraph, i: int) -> str:
-    return " ".join(h.geodesics[i])
+def _geo_str(h: SpGraph, *indices: int) -> str:
+    """Geodesics by their vertex sequences, separated by bars."""
+    return " | ".join(" ".join(h.geodesics[i]) for i in indices)
 
 
 # -- single-structure checkers ----------------------------------------------
+
+# longest odd cycle that check_odd_cycle_c4 searches for
+_ODD_CYCLE_CAP = 9
 
 
 def check_p3_c4(
@@ -128,11 +125,10 @@ def check_p3_c4(
     """Induced paths on three vertices whose two difference indices are at
     least two apart must sit inside an induced four-cycle."""
     h = _as_spg(obj, limit=limit)
-    masks = _neighbor_masks(h)
+    masks = h.adjacency_bits
     triples = 0
-    for mid in range(h.num_vertices):
-        nbrs = h.neighbors[mid]
-        for u, w in combinations(nbrs, 2):
+    for mid in h.vertices:
+        for u, w in combinations(iter_bits(masks[mid]), 2):
             if masks[u] >> w & 1:
                 continue
             iu = h.edge_index[(u, mid) if u < mid else (mid, u)]
@@ -145,8 +141,7 @@ def check_p3_c4(
                 return CheckReport(
                     "p3-c4",
                     False,
-                    f"no four-cycle through {_geo_str(h, u)} | "
-                    f"{_geo_str(h, mid)} | {_geo_str(h, w)} "
+                    f"no four-cycle through {_geo_str(h, u, mid, w)} "
                     f"(indices {iu}, {iw})",
                     {"far_triples": triples},
                 )
@@ -154,28 +149,21 @@ def check_p3_c4(
 
 
 def check_no_induced_c5(
-    obj: BaseInstance | SpGraph,
-    *,
-    limit: int = DEFAULT_GEODESIC_LIMIT,
-    work_limit: int = DEFAULT_WORK_LIMIT,
+    obj: BaseInstance | SpGraph, *, limit: int = DEFAULT_GEODESIC_LIMIT
 ) -> CheckReport:
     """No shortest path graph contains an induced five-cycle."""
     h = _as_spg(obj, limit=limit)
-    g = h.to_graph()
-    found = find_induced(g, "C5", work_limit=work_limit)
+    found = find_induced(h, "C5")
     stats = {"vertices": h.num_vertices, "edges": h.num_edges}
     if found:
         return CheckReport(
-            "no-induced-c5", False, f"induced five-cycle {found[0]}", stats
+            "no-induced-c5", False, f"induced five-cycle {_geo_str(h, *found[0])}", stats
         )
     return CheckReport("no-induced-c5", True, None, stats)
 
 
 def check_claw_in_c4(
-    obj: BaseInstance | SpGraph,
-    *,
-    limit: int = DEFAULT_GEODESIC_LIMIT,
-    work_limit: int = DEFAULT_WORK_LIMIT,
+    obj: BaseInstance | SpGraph, *, limit: int = DEFAULT_GEODESIC_LIMIT
 ) -> CheckReport:
     """Every induced claw has a four-cycle through two of its edges.
 
@@ -183,48 +171,37 @@ def check_claw_in_c4(
     not need to be induced.
     """
     h = _as_spg(obj, limit=limit)
-    g = h.to_graph()
-    masks = _neighbor_masks(h)
-    claws = find_induced(g, "claw", work_limit=work_limit)
-    for claw in claws:
-        center, *leaves = (int(name[1:]) for name in claw)
-        hit = False
-        for p, q in combinations(leaves, 2):
-            if masks[p] & masks[q] & ~(1 << center):
-                hit = True
-                break
-        if not hit:
+    masks = h.adjacency_bits
+    claws = find_induced(h, "claw")
+    for center, *leaves in claws:
+        if not any(masks[p] & masks[q] & ~(1 << center) for p, q in combinations(leaves, 2)):
             return CheckReport(
                 "claw-in-c4",
                 False,
-                f"claw {claw} lies on no four-cycle through two of its edges",
+                f"claw {_geo_str(h, center, *leaves)} lies on no four-cycle "
+                f"through two of its edges",
                 {"claws": len(claws)},
             )
     return CheckReport("claw-in-c4", True, None, {"claws": len(claws)})
 
 
 def check_odd_cycle_c4(
-    obj: BaseInstance | SpGraph,
-    *,
-    cap: int = 9,
-    limit: int = DEFAULT_GEODESIC_LIMIT,
-    work_limit: int = DEFAULT_WORK_LIMIT,
+    obj: BaseInstance | SpGraph, *, limit: int = DEFAULT_GEODESIC_LIMIT
 ) -> CheckReport:
     """An induced odd cycle longer than a triangle forces an induced
-    four-cycle. The odd-cycle search stops at length ``cap``."""
+    four-cycle. The odd-cycle search stops at length nine."""
     h = _as_spg(obj, limit=limit)
-    g = h.to_graph()
-    stats: dict[str, object] = {"cap": cap, "odd_cycle": None}
-    for k in range(5, cap + 1, 2):
-        found = find_induced(g, f"C{k}", work_limit=work_limit)
+    stats: dict[str, object] = {"cap": _ODD_CYCLE_CAP, "odd_cycle": None}
+    for k in range(5, _ODD_CYCLE_CAP + 1, 2):
+        found = find_induced(h, f"C{k}")
         if found:
             stats["odd_cycle"] = k
-            if has_induced(g, "C4", work_limit=work_limit):
+            if has_induced(h, "C4"):
                 return CheckReport("odd-cycle-c4", True, None, stats)
             return CheckReport(
                 "odd-cycle-c4",
                 False,
-                f"induced {k}-cycle {found[0]} but no induced four-cycle",
+                f"induced {k}-cycle {_geo_str(h, *found[0])} but no induced four-cycle",
                 stats,
             )
     return CheckReport("odd-cycle-c4", True, None, stats)
@@ -242,29 +219,23 @@ def check_girth5_classification(
     shortest path graph has girth five.
     """
     h = _as_spg(obj, limit=limit)
-    g = h.to_graph()
-    gr = girth(g)
+    gr = girth(h)
     stats: dict[str, object] = {"girth": gr, "components": 0}
     if gr < 5:
         return CheckReport("girth5-classification", True, None, stats)
-    for comp in connected_components(g):
+    masks = h.adjacency_bits
+    for comp in connected_components(h):
         if len(comp) == 1:
             continue
         stats["components"] = int(stats["components"]) + 1
-        sub = g.subgraph(comp)
-        max_deg = max(sub.degree(v) for v in sub.vertices)
-        is_path = sub.num_edges == sub.num_vertices - 1 and max_deg <= 2
-        is_even_cycle = (
-            max_deg == 2
-            and min(sub.degree(v) for v in sub.vertices) == 2
-            and sub.num_vertices % 2 == 0
-            and sub.num_vertices >= 6
-        )
-        if not (is_path or is_even_cycle):
+        degrees = [masks[v].bit_count() for v in comp]
+        # a connected graph of maximum degree two is a path, or a cycle when
+        # every degree is two; girth >= 5 makes an even cycle at least six long
+        if max(degrees) > 2 or (min(degrees) == 2 and len(comp) % 2):
             return CheckReport(
                 "girth5-classification",
                 False,
-                f"component {comp} is neither a path nor an even cycle >= 6",
+                f"component {_geo_str(h, *comp)} is neither a path nor an even cycle >= 6",
                 stats,
             )
     return CheckReport("girth5-classification", True, None, stats)

@@ -8,6 +8,7 @@ import spgraphs.constructions
 import spgraphs.geodesics
 import spgraphs.graphs
 import spgraphs.grid
+import spgraphs.isomorphism
 import spgraphs.patterns
 import spgraphs.spg
 import spgraphs.verify
@@ -19,6 +20,7 @@ MODULES = [
     spgraphs.constructions,
     spgraphs.spg,
     spgraphs.grid,
+    spgraphs.isomorphism,
     spgraphs.verify,
 ]
 

@@ -7,9 +7,12 @@ import oracles
 import strategies
 from spgraphs import (
     WorkLimitExceeded,
+    build_spg,
     complete_graph,
+    connected_components,
     cycle_graph,
     find_induced,
+    girth,
     has_induced,
     star_graph,
 )
@@ -76,3 +79,19 @@ def test_random_graphs_match_the_subset_scan(g):
     assert set(find_induced(g, "P3")) == oracles.induced_path3_triples(g)
     claws = {(t[0], t[1:]) for t in find_induced(g, "claw")}
     assert claws == oracles.induced_claw_quads(g)
+
+
+def _indices(tuples):
+    return {tuple(int(name[1:]) for name in t) for t in tuples}
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.instances())
+def test_an_spgraph_is_searched_like_its_string_graph(inst):
+    """With fewer than ten geodesics the names g0..g9 sort like their indices."""
+    h = build_spg(inst)
+    g = h.to_graph()
+    for pattern in ("P3", "claw", "C4", "C5"):
+        assert set(find_induced(h, pattern)) == _indices(find_induced(g, pattern))
+    assert girth(h) == girth(g)
+    assert set(connected_components(h)) == _indices(connected_components(g))

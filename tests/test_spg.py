@@ -35,7 +35,8 @@ def test_spg_of_complete_bipartite_is_a_triangle():
     assert h.num_vertices == 3
     assert h.d == 2
     assert h.edge_index == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
-    assert h.neighbors == [(1, 2), (0, 2), (0, 1)]
+    assert h.vertices == range(3)
+    assert h.adjacency_bits == [0b110, 0b101, 0b011]
     g = h.to_graph("s")
     assert g.vertices == ("s0", "s1", "s2")
     assert g.num_edges == 3

@@ -130,11 +130,21 @@ def test_claw_in_c4_fails_without_a_crossing_cycle():
     assert report.stats["claws"] == 1
 
 
+def _cycles_and_paths(*parts: tuple[str, int]) -> SpGraph:
+    """Disjoint cycles ``("C", k)`` and paths ``("P", k)`` on k middles."""
+    geos: list[tuple[str, ...]] = []
+    edges = {}
+    for kind, k in parts:
+        base = len(geos)
+        geos += _middles(*[f"m{base + i}" for i in range(k)])
+        edges.update({(base + i, base + i + 1): 1 for i in range(k - 1)})
+        if kind == "C":
+            edges[(base, base + k - 1)] = 1
+    return SpGraph(geos, edges)
+
+
 def test_odd_cycle_c4_fails_on_a_bare_seven_cycle():
-    geos = _middles(*[f"m{i}" for i in range(7)])
-    edges = {(i, (i + 1) % 7): 1 for i in range(6)}
-    edges[(0, 6)] = 1
-    report = check_odd_cycle_c4(SpGraph(geos, edges))
+    report = check_odd_cycle_c4(_cycles_and_paths(("C", 7)))
     assert not report.passed
     assert report.stats["odd_cycle"] == 7
     assert "no induced four-cycle" in report.witness
@@ -144,6 +154,41 @@ def test_girth5_classification_fails_on_a_star():
     report = check_girth5_classification(_claw_fake())
     assert not report.passed
     assert "neither a path nor an even cycle" in report.witness
+
+
+@pytest.mark.parametrize(
+    "parts, passed, components",
+    [
+        ([("C", 5)], False, 1),
+        ([("C", 7)], False, 1),
+        ([("C", 6), ("C", 7)], False, 2),
+        ([("C", 6)], True, 1),
+        ([("C", 8), ("P", 4)], True, 2),
+        ([("P", 5)], True, 1),
+        ([("C", 4)], True, 0),
+    ],
+    ids=["C5", "C7", "C6+C7", "C6", "C8+P4", "P5", "C4"],
+)
+def test_girth5_classification_on_cycles_and_paths(parts, passed, components):
+    report = check_girth5_classification(_cycles_and_paths(*parts))
+    assert report.passed == passed, report
+    assert report.stats["components"] == components
+
+
+@pytest.mark.parametrize(
+    "checker, fake, text",
+    [
+        (check_no_induced_c5, _five_cycle_fake, "a m0 b | a m1 b | a m2 b"),
+        (check_claw_in_c4, _claw_fake, "a m w b | a x w b | a y w b | a m z b"),
+        (check_odd_cycle_c4, lambda: _cycles_and_paths(("C", 7)), "a m0 b | a m1 b"),
+        (check_girth5_classification, _claw_fake, "a m w b | a x w b"),
+    ],
+    ids=["no-induced-c5", "claw-in-c4", "odd-cycle-c4", "girth5-classification"],
+)
+def test_witnesses_name_geodesics(checker, fake, text):
+    report = checker(fake())
+    assert not report.passed
+    assert text in report.witness
 
 
 def test_girth5_classification_is_vacuous_below_girth_five():
