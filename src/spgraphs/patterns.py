@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from itertools import combinations
+from typing import Iterator
 
 from .graphs import Graph, iter_bits
 from .spg import SpGraph
@@ -63,44 +64,46 @@ def find_induced(
     >>> find_induced(cycle_graph(4), "claw")
     []
     """
-    budget = _Budget(pattern, work_limit)
-    bits = g.adjacency_bits
-    if pattern == "P3":
-        found = _induced_p3(bits, budget)
-    elif pattern == "claw":
-        found = _induced_claws(bits, budget)
-    else:
-        match = _CYCLE_RE.match(pattern)
-        if not match:
-            raise ValueError(f"unknown pattern {pattern!r}")
-        k = int(match.group(1))
-        if k < 3:
-            raise ValueError("cycles need k >= 3")
-        found = _triangles(bits, budget) if k == 3 else _induced_cycles(bits, k, budget)
     names = g.vertices
-    return [tuple(names[v] for v in t) for t in sorted(found)]
+    return [tuple(names[v] for v in t) for t in sorted(_search(g, pattern, work_limit))]
 
 
 def has_induced(
     g: Graph | SpGraph, pattern: str, *, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> bool:
-    """Whether at least one induced occurrence exists (still full search)."""
-    return bool(find_induced(g, pattern, work_limit=work_limit))
+    """Whether at least one induced occurrence exists; the search stops
+    at the first one."""
+    return next(_search(g, pattern, work_limit), None) is not None
 
 
-def _induced_p3(bits: list[int], budget: _Budget) -> list[tuple[int, ...]]:
-    out = []
+def _search(g: Graph | SpGraph, pattern: str, work_limit: int) -> Iterator[tuple[int, ...]]:
+    """The occurrences of ``pattern`` as index tuples, lazily; an unknown
+    pattern is rejected at once."""
+    budget = _Budget(pattern, work_limit)
+    bits = g.adjacency_bits
+    if pattern == "P3":
+        return _induced_p3(bits, budget)
+    if pattern == "claw":
+        return _induced_claws(bits, budget)
+    match = _CYCLE_RE.match(pattern)
+    if not match:
+        raise ValueError(f"unknown pattern {pattern!r}")
+    k = int(match.group(1))
+    if k < 3:
+        raise ValueError("cycles need k >= 3")
+    return _triangles(bits, budget) if k == 3 else _induced_cycles(bits, k, budget)
+
+
+def _induced_p3(bits: list[int], budget: _Budget) -> Iterator[tuple[int, ...]]:
     for mid in range(len(bits)):
         nbrs = list(iter_bits(bits[mid]))
         budget.spend(len(nbrs) * max(len(nbrs) - 1, 0) // 2)
         for i, j in combinations(nbrs, 2):
             if not bits[i] >> j & 1:
-                out.append((i, mid, j))
-    return out
+                yield (i, mid, j)
 
 
-def _induced_claws(bits: list[int], budget: _Budget) -> list[tuple[int, ...]]:
-    out = []
+def _induced_claws(bits: list[int], budget: _Budget) -> Iterator[tuple[int, ...]]:
     for center in range(len(bits)):
         nbrs = list(iter_bits(bits[center]))
         if len(nbrs) < 3:
@@ -110,12 +113,10 @@ def _induced_claws(bits: list[int], budget: _Budget) -> list[tuple[int, ...]]:
         for i, j, l in combinations(nbrs, 3):
             if bits[i] >> j & 1 or bits[i] >> l & 1 or bits[j] >> l & 1:
                 continue
-            out.append((center, i, j, l))
-    return out
+            yield (center, i, j, l)
 
 
-def _triangles(bits: list[int], budget: _Budget) -> list[tuple[int, ...]]:
-    out = []
+def _triangles(bits: list[int], budget: _Budget) -> Iterator[tuple[int, ...]]:
     for i in range(len(bits)):
         higher = bits[i] >> (i + 1) << (i + 1)
         for j in iter_bits(higher):
@@ -123,18 +124,16 @@ def _triangles(bits: list[int], budget: _Budget) -> list[tuple[int, ...]]:
             budget.spend(1)
             for l in iter_bits(both >> (j + 1) << (j + 1)):
                 budget.spend(1)
-                out.append((i, j, l))
-    return out
+                yield (i, j, l)
 
 
-def _induced_cycles(bits: list[int], k: int, budget: _Budget) -> list[tuple[int, ...]]:
+def _induced_cycles(bits: list[int], k: int, budget: _Budget) -> Iterator[tuple[int, ...]]:
     """Induced k-cycles for k >= 4 by DFS over induced paths.
 
     A cycle is generated exactly once: its smallest vertex s is the DFS
     root, only vertices above s are used, and the orientation with
     path[1] < path[-1] is kept.
     """
-    out = []
     n = len(bits)
     all_mask = (1 << n) - 1
     for s in range(n):
@@ -154,11 +153,10 @@ def _induced_cycles(bits: list[int], k: int, budget: _Budget) -> list[tuple[int,
                 v1 = path[1]
                 for x in iter_bits(closers):
                     if v1 < x:
-                        out.append((*path, x))
+                        yield (*path, x)
                 continue
             nxt = bits[last] & gt_mask & ~path_mask & ~banned & ~adj_s
             budget.spend(max(nxt.bit_count(), 1))
             new_banned = banned | bits[last]
             for x in iter_bits(nxt):
                 stack.append((path + [x], path_mask | 1 << x, new_banned))
-    return out

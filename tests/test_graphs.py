@@ -179,6 +179,38 @@ def test_json_roundtrip_and_errors():
         graph_from_json('{"vertices": ["a", "b"], "edges": [["a"]]}')
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("[]", "graph JSON must be an object"),
+        ('{"edges": []}', "graph JSON is missing 'vertices'"),
+        ('{"vertices": ["a"]}', "graph JSON is missing 'edges'"),
+        ('{"vertices": ["a", 1], "edges": []}', "'vertices' must be a list of strings"),
+        ('{"vertices": ["a"], "edges": {}}', "'edges' must be a list of pairs"),
+        # the first bad edge is named, whatever is wrong with it
+        ('{"vertices": ["a", "b"], "edges": [["a", "b"], "ab", ["a"]]}',
+         "edge #1 must be a pair of vertex ids"),
+        ('{"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "b", "a"]]}',
+         "edge #1 must be a pair of vertex ids"),
+        ('{"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"], ["a", 2]]}',
+         "edge #2 must be a pair of vertex ids"),
+        ('{"vertices": ["a", "b"], "edges": [[1, "b"]]}', "edge #0 must be a pair of vertex ids"),
+        ('{"vertices": ["a", "b"], "edges": [{"u": "a", "w": "b"}]}',
+         "edge #0 must be a pair of vertex ids"),
+        ('{"vertices": ["a", "b"], "edges": [["a", "c"]]}',
+         "edge ('a', 'c') uses an unknown vertex"),
+        ('{"vertices": ["a", "b"], "edges": [["a", "a"]]}', "self loop at 'a'"),
+        ('{"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}',
+         "duplicate edge ('b', 'a')"),
+    ],
+)
+def test_graph_json_error_messages(text, message):
+    with pytest.raises(GraphError) as caught:
+        graph_from_json(text)
+    assert str(caught.value) == message
+
+
 def test_edge_list_roundtrip_comments_and_errors():
     text = "# a triangle\na b\nb c # trailing note\n\nc a\n"
     g = graph_from_edge_list(text)

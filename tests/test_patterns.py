@@ -95,3 +95,22 @@ def test_an_spgraph_is_searched_like_its_string_graph(inst):
         assert set(find_induced(h, pattern)) == _indices(find_induced(g, pattern))
     assert girth(h) == girth(g)
     assert set(connected_components(h)) == _indices(connected_components(g))
+
+
+PATTERNS = ("P3", "claw", "C3", "C4", "C5", "C6", "C7")
+
+
+@settings(max_examples=80, deadline=None)
+@given(strategies.graphs(max_vertices=8))
+def test_has_induced_agrees_with_find_induced(g):
+    for pattern in PATTERNS:
+        assert has_induced(g, pattern) == bool(find_induced(g, pattern))
+
+
+def test_has_induced_stops_at_the_first_occurrence():
+    # the full triangle search of K12 needs far more than ten steps
+    with pytest.raises(WorkLimitExceeded):
+        find_induced(complete_graph(12), "C3", work_limit=10)
+    assert has_induced(complete_graph(12), "C3", work_limit=10)
+    with pytest.raises(ValueError, match="unknown pattern"):
+        has_induced(complete_graph(3), "K4")

@@ -25,9 +25,12 @@ from spgraphs import (
     spg_to_dot,
     spg_to_json,
 )
+from spgraphs import spg
 from spgraphs.constructions import hypercube_base
 from spgraphs.geodesics import build_dag, geodesic_matrix
-from spgraphs.spg import matrix_adjacency
+from spgraphs.graphs import hypercube_graph
+from spgraphs.grid import GridSpec, grid_base
+from spgraphs.spg import MATRIX_CUTOFF, matrix_adjacency
 
 
 def test_spg_of_complete_bipartite_is_a_triangle():
@@ -161,3 +164,108 @@ def test_dot_export_mentions_labels_and_colors():
     assert "--" in dot
     assert index_color(1) in dot
     assert index_color(1) == index_color(9)
+
+
+def _both_paths(inst, monkeypatch):
+    """The SpGraph of the dict path and, with the cutoff at 1, of the matrix path."""
+    by_dicts = spg_from_geodesics(enumerate_geodesics(inst))
+    monkeypatch.setattr(spg, "MATRIX_CUTOFF", 1)
+    by_matrix = build_spg(inst)
+    monkeypatch.undo()
+    assert by_dicts._rows is None and by_matrix._rows is not None  # one form each
+    return by_dicts, by_matrix
+
+
+def _derived(h, view):
+    """Whether an array-form SpGraph has filled the slot of a view yet."""
+    try:
+        getattr(SpGraph, view).__get__(h, SpGraph)
+    except AttributeError:
+        return False
+    return True
+
+
+def _assert_same_spg(by_dicts, by_matrix, *, bits=True):
+    # writers first, while the array form has derived no views
+    assert spg_to_json(by_matrix) == spg_to_json(by_dicts)
+    assert spg_to_dot(by_matrix, "s") == spg_to_dot(by_dicts, "s")
+    assert (by_matrix.num_vertices, by_matrix.num_edges, by_matrix.d) == (
+        by_dicts.num_vertices, by_dicts.num_edges, by_dicts.d)
+    assert by_matrix.sorted_edges() == by_dicts.sorted_edges()
+    assert by_matrix.geodesics == by_dicts.geodesics
+    assert by_matrix.edge_index == by_dicts.edge_index
+    if bits:
+        assert by_matrix.adjacency_bits == by_dicts.adjacency_bits
+
+
+@settings(max_examples=80, deadline=None)
+@given(strategies.instances(max_vertices=7))
+def test_matrix_and_dict_paths_agree(inst):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_same_spg(*_both_paths(inst, monkeypatch))
+
+
+def _k2(n):
+    return BaseInstance(complete_bipartite_graph(2, n), "a0", "a1")
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        _k2(MATRIX_CUTOFF - 1),
+        _k2(MATRIX_CUTOFF),
+        _k2(256),
+        grid_base(GridSpec((3, 3, 3))),
+        # names JSON and DOT must escape, one outside the BMP
+        BaseInstance(complete_bipartite_graph(2, 3).relabel(
+            {"a0": 'a "0"', "a1": "a\\1", "b0": "b\t0", "b1": "b\u00e91", "b2": "b\U0001f600"}),
+            'a "0"', "a\\1"),
+    ],
+    ids=["K2,cutoff-1", "K2,cutoff", "K2,256", "grid3x3x3", "escaped-names"],
+)
+def test_matrix_and_dict_paths_agree_on_families(inst, monkeypatch):
+    _assert_same_spg(*_both_paths(inst, monkeypatch))
+
+
+def test_matrix_and_dict_paths_agree_on_q8(monkeypatch):
+    inst = BaseInstance(hypercube_graph(8), "0" * 8, "1" * 8)
+    by_dicts, by_matrix = _both_paths(inst, monkeypatch)
+    assert (by_matrix.num_vertices, by_matrix.num_edges) == (40320, 141120)
+    # 40,320 masks of 40,320 bits each take 200 MB per graph: not compared
+    _assert_same_spg(by_dicts, by_matrix, bits=False)
+
+
+def test_build_spg_switches_to_the_arrays_at_the_cutoff():
+    below, at = build_spg(_k2(MATRIX_CUTOFF - 1)), build_spg(_k2(MATRIX_CUTOFF))
+    assert below._rows is None and at._rows is not None
+    spg_to_json(at), spg_to_dot(at)
+    assert (at.num_vertices, at.num_edges) == (MATRIX_CUTOFF, len(at.sorted_edges()))
+    # the writers and the counts read the arrays and derive no view
+    assert not _derived(at, "geodesics") and not _derived(at, "edge_index")
+    assert at.edge_index[(0, 1)] == 1 and _derived(at, "edge_index")
+    assert at.geodesics[0] == ("a0", "b0", "a1") and _derived(at, "geodesics")
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        at.nope
+    u, w, pos = at.edge_arrays()
+    assert u.size == MATRIX_CUTOFF * (MATRIX_CUTOFF - 1) // 2
+    assert np.all((u[:-1] < u[1:]) | ((u[:-1] == u[1:]) & (w[:-1] < w[1:])))
+    assert np.all(u < w) and np.all(pos == 1)
+
+
+def test_array_form_round_trips_through_json():
+    h = build_spg(grid_base(GridSpec((3, 3, 2))))
+    assert h.num_vertices >= MATRIX_CUTOFF and h._rows is not None
+    text = spg_to_json(h)
+    again = spg_from_json(text)
+    assert spg_to_json(again) == text
+    assert again.geodesics == h.geodesics
+    assert again.edge_index == h.edge_index
+
+
+def test_writers_of_empty_and_one_vertex_graphs():
+    assert spg_to_json(SpGraph((), {}, None)) == '{\n  "geodesics": [],\n  "edges": []\n}\n'
+    empty_dot = 'graph "spg" {\n  node [shape=box, fontsize=10];\n}\n'
+    assert spg_to_dot(SpGraph((), {}, None)) == empty_dot
+    lone = SpGraph((("a",),), {}, 0)
+    assert spg_to_json(lone) == '{\n  "geodesics": [\n    ["a"]\n  ],\n  "edges": []\n}\n'
+    assert '  0 [label="a"];' in spg_to_dot(lone)
