@@ -411,13 +411,11 @@ def graph_from_json(text: str) -> Graph:
         raise GraphError("'vertices' must be a list of strings")
     if not isinstance(edges, list):
         raise GraphError("'edges' must be a list of pairs")
-    # json.loads makes exact lists and strs, so one pass of type tests
-    # checks every edge; the loop only names the first bad one
-    if not all(type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is str
-               for e in edges):
-        for i, e in enumerate(edges):
-            if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
-                raise GraphError(f"edge #{i} must be a pair of vertex ids")
+    # json.loads makes exact lists and strs, so exact type tests suffice
+    bad = next((i for i, e in enumerate(edges) if not (
+        type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is str)), None)
+    if bad is not None:
+        raise GraphError(f"edge #{bad} must be a pair of vertex ids")
     return Graph(verts, edges)
 
 

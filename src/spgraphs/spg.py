@@ -36,12 +36,12 @@ import numpy as np
 from .geodesics import (
     DEFAULT_GEODESIC_LIMIT,
     Geodesic,
+    GeodesicOverflowError,
     NoGeodesicError,
     ReducedInstance,
     build_dag,
+    enumerate_geodesics,
     geodesic_matrix,
-    guarded_count,
-    iter_geodesics,
 )
 from .graphs import BaseInstance, Graph, json_records, quote
 
@@ -64,11 +64,12 @@ class SpGraph:
     shape only, not for realizability, so theorem checkers can be fed
     deliberately broken inputs.
 
-    An SpGraph holds one of two forms and derives the other on first use:
-    the tuples ``geodesics`` and the dict ``edge_index`` (the constructor's
-    form), or the vertex ``names``, an int32 matrix of rows over them and
-    the edge arrays ``(u, w, pos)`` sorted by ``(u, w)`` (the form
-    ``build_spg`` gives large instances, and the one the writers read).
+    The writers read the array form: the vertex names with an int32
+    matrix of rows over them (``name_rows``) and the edge arrays
+    ``(u, w, pos)`` sorted by ``(u, w)`` (``edge_arrays``), which this
+    class derives from ``geodesics`` and ``edge_index`` on first use. The
+    large graphs of ``build_spg`` are built in the array form instead (see
+    ``_ArraySpGraph``).
     """
 
     __slots__ = ("geodesics", "edge_index", "d", "_bits", "_names", "_rows", "_edges")
@@ -131,15 +132,14 @@ class SpGraph:
 
     @property
     def num_vertices(self) -> int:
-        return len(self.geodesics) if self._rows is None else len(self._rows)
+        return len(self.geodesics)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_index) if self._edges is None else self._edges[0].size
+        return len(self.edge_index)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        u, w, _ = self.edge_arrays()
-        return list(zip(u.tolist(), w.tolist()))
+        return sorted(self.edge_index)
 
     @property
     def vertices(self) -> range:
@@ -149,12 +149,7 @@ class SpGraph:
     def adjacency_bits(self) -> list[int]:
         """Adjacency as one int bitmask per geodesic index."""
         if self._bits is None:
-            bits = [0] * self.num_vertices
-            pairs = self.edge_index if self._edges is None else self.sorted_edges()
-            for i, j in pairs:
-                bits[i] |= 1 << j
-                bits[j] |= 1 << i
-            self._bits = bits
+            self._bits = _bitmasks(self.num_vertices, self.edge_index)
         return self._bits
 
     def to_graph(self, prefix: str = "g") -> Graph:
@@ -169,7 +164,8 @@ class SpGraph:
 class _ArraySpGraph(SpGraph):
     """The array form, as ``build_spg`` makes it from the geodesic matrix:
     distinct sorted rows of ids into ``names`` and edges sorted by
-    ``(u, w)``, trusted and not validated. ``geodesics`` and
+    ``(u, w)``, trusted and not validated. The counts, ``sorted_edges``
+    and ``adjacency_bits`` read the arrays; ``geodesics`` and
     ``edge_index`` stay unset until first read. A class with
     ``__getattr__`` reads every attribute more slowly, so only this
     subclass has one and the many small graphs of the dict path do not.
@@ -204,6 +200,33 @@ class _ArraySpGraph(SpGraph):
         setattr(self, name, value)
         return value
 
+    @property
+    def num_vertices(self) -> int:
+        return len(self._rows)
+
+    @property
+    def num_edges(self) -> int:
+        return self._edges[0].size
+
+    def sorted_edges(self) -> list[tuple[int, int]]:
+        u, w, _ = self._edges
+        return list(zip(u.tolist(), w.tolist()))
+
+    @property
+    def adjacency_bits(self) -> list[int]:
+        if self._bits is None:
+            self._bits = _bitmasks(self.num_vertices, self.sorted_edges())
+        return self._bits
+
+
+def _bitmasks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """One int bitmask of neighbours per vertex ``0..n-1``."""
+    bits = [0] * n
+    for i, j in edges:
+        bits[i] |= 1 << j
+        bits[j] |= 1 << i
+    return bits
+
 
 def difference_positions(u: Geodesic, w: Geodesic) -> list[int]:
     if len(u) != len(w):
@@ -233,6 +256,8 @@ def build_spg(
 
     Disconnected endpoints yield the empty SpGraph. A geodesic count above
     ``limit`` raises GeodesicOverflowError before any materialization.
+    The geodesics are counted once: ``enumerate_geodesics`` runs with the
+    limit ``MATRIX_CUTOFF - 1``, and its overflow error carries the count.
     Below ``MATRIX_CUTOFF`` geodesics the tuples are bucketed in dicts
     (``spg_from_geodesics``); from there on the rows of
     ``geodesic_matrix`` are bucketed by ``matrix_adjacency`` and the
@@ -263,8 +288,13 @@ def build_spg(
         dag = build_dag(inst)
     except NoGeodesicError:
         return SpGraph((), {}, None)
-    if guarded_count(dag, limit) < MATRIX_CUTOFF:
-        return spg_from_geodesics(list(iter_geodesics(dag)))
+    try:
+        geodesics = enumerate_geodesics(dag, limit=min(limit, MATRIX_CUTOFF - 1))
+    except GeodesicOverflowError as err:
+        if err.count > limit:
+            raise GeodesicOverflowError(err.count, limit) from None
+    else:
+        return spg_from_geodesics(geodesics)
     matrix = geodesic_matrix(dag)
     u, w, pos = matrix_adjacency(matrix)
     order = np.lexsort((w, u))

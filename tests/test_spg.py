@@ -8,6 +8,7 @@ import oracles
 import strategies
 from spgraphs import (
     BaseInstance,
+    GeodesicOverflowError,
     Graph,
     SpGraph,
     SpgStructureError,
@@ -250,6 +251,44 @@ def test_build_spg_switches_to_the_arrays_at_the_cutoff():
     assert u.size == MATRIX_CUTOFF * (MATRIX_CUTOFF - 1) // 2
     assert np.all((u[:-1] < u[1:]) | ((u[:-1] == u[1:]) & (w[:-1] < w[1:])))
     assert np.all(u < w) and np.all(pos == 1)
+
+
+def _spy(monkeypatch, name):
+    """Record the outcome of every call of ``spg.<name>``."""
+    calls, original = [], getattr(spg, name)
+
+    def spy(*args, **kwargs):
+        try:
+            result = original(*args, **kwargs)
+        except Exception as exc:
+            calls.append(type(exc).__name__)
+            raise
+        calls.append("ok")
+        return result
+
+    monkeypatch.setattr(spg, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, outcomes", [
+    (MATRIX_CUTOFF - 1, (["ok"], ["ok"])),
+    (MATRIX_CUTOFF, (["GeodesicOverflowError"], [])),
+])
+def test_build_spg_enumerates_through_the_public_functions(n, outcomes, monkeypatch):
+    # below the cutoff enumerate_geodesics and spg_from_geodesics do the
+    # work; from the cutoff on enumerate_geodesics only counts
+    enumerated = _spy(monkeypatch, "enumerate_geodesics")
+    bucketed = _spy(monkeypatch, "spg_from_geodesics")
+    assert build_spg(_k2(n)).num_vertices == n
+    assert (enumerated, bucketed) == outcomes
+
+
+@pytest.mark.parametrize("n, limit", [(60, 50), (MATRIX_CUTOFF + 50, MATRIX_CUTOFF + 20)])
+def test_build_spg_overflow_carries_the_callers_limit(n, limit):
+    with pytest.raises(GeodesicOverflowError) as info:
+        build_spg(_k2(n), limit=limit)
+    assert (info.value.count, info.value.limit) == (n, limit)
+    assert build_spg(_k2(n), limit=n).num_vertices == n
 
 
 def test_array_form_round_trips_through_json():
