@@ -242,6 +242,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
             coords = tuple(int(part) for part in args.coords.split(","))
         except ValueError as exc:
             raise GraphError(f"bad coords {args.coords!r}") from exc
+        if len(coords) != spec.embedding_dim:
+            raise GraphError(f"expected {spec.embedding_dim} coordinates, got {len(coords)}")
         try:
             point = LatticePoint(spec, coords)
             ms = phi_inverse(point)
@@ -322,6 +324,8 @@ def _corpus_from_flag(args: argparse.Namespace) -> tuple[Iterable[BaseInstance],
                 raise GraphError(
                     "corpus file entries need graph, source, and target fields"
                 )
+            if not isinstance(entry["source"], str) or not isinstance(entry["target"], str):
+                raise GraphError("corpus file entries need string source and target")
             graph = graph_from_json(json.dumps(entry["graph"]))
             out.append(BaseInstance(graph, entry["source"], entry["target"]))
         return out, None

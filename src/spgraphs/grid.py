@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,10 +101,10 @@ class MoveSequence:
 def parse_move_sequence(spec: GridSpec, text: str) -> MoveSequence:
     """Inverse of str(): digit string when m <= 9, comma-separated otherwise."""
     text = text.strip()
-    if "," in text:
-        symbols = tuple(int(part) for part in text.split(","))
-    else:
-        symbols = tuple(int(ch) for ch in text)
+    try:
+        symbols = tuple(int(part) for part in (text.split(",") if "," in text else text))
+    except ValueError as exc:
+        raise GraphError(f"bad move sequence {text!r}: symbols must be integers") from exc
     return MoveSequence(spec, symbols)
 
 
@@ -169,27 +169,6 @@ def grid_base(spec: GridSpec) -> BaseInstance:
 # -- word enumeration ------------------------------------------------------
 
 
-def iter_words(spec: GridSpec) -> Iterator[Word]:
-    """All words in lexicographic order (repeated-symbol next-permutation)."""
-    w = []
-    for sym, count in enumerate(spec.dims, start=1):
-        w += [sym] * count
-    n = len(w)
-    yield tuple(w)
-    while True:
-        i = n - 2
-        while i >= 0 and w[i] >= w[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while w[j] <= w[i]:
-            j -= 1
-        w[i], w[j] = w[j], w[i]
-        w[i + 1 :] = reversed(w[i + 1 :])
-        yield tuple(w)
-
-
 def enumerate_sequences(
     spec: GridSpec, *, limit: int = DEFAULT_GEODESIC_LIMIT
 ) -> list[MoveSequence]:
@@ -197,7 +176,7 @@ def enumerate_sequences(
     count = spec.word_count()
     if count > limit:
         raise GeodesicOverflowError(count, limit)
-    return [MoveSequence(spec, w) for w in iter_words(spec)]
+    return [MoveSequence(spec, w) for w in words_array(spec).tolist()]
 
 
 # -- the lattice embedding ---------------------------------------------------
@@ -210,26 +189,8 @@ def phi(ms: MoveSequence) -> LatticePoint:
     >>> phi(parse_move_sequence(spec, "32121231")).coords
     (3, 2, 1, 3, 1, 3, 0)
     """
-    word = ms.symbols
-    spec = ms.spec
-    n = len(word)
-    after = [[0] * (spec.m + 1)]
-    running = [0] * (spec.m + 1)
-    for s in reversed(word):
-        running = running.copy()
-        running[s] += 1
-        after.append(running)
-    after.reverse()
-    # after[t][s] counts symbol s at positions >= t; strictly after t is t+1.
-    occurrences: dict[int, list[int]] = {j: [] for j in range(1, spec.m + 1)}
-    for t, s in enumerate(word):
-        occurrences[s].append(t)
-    coords = []
-    for j in range(2, spec.m + 1):
-        for i in range(1, j):
-            for t in occurrences[j]:
-                coords.append(after[t + 1][i])
-    return LatticePoint(spec, tuple(coords))
+    row = phi_batch(ms.spec, np.array([ms.symbols]))[0]
+    return LatticePoint(ms.spec, tuple(row.tolist()))
 
 
 def phi_inverse(point: LatticePoint) -> MoveSequence:
@@ -269,7 +230,7 @@ def phi_inverse(point: LatticePoint) -> MoveSequence:
     return MoveSequence(spec, tuple(word))
 
 
-# -- batch embedding (used by the exhaustive verifier) ------------------------
+# -- batch embedding --------------------------------------------------------
 
 
 def words_array(spec: GridSpec) -> np.ndarray:
@@ -296,18 +257,20 @@ def words_array(spec: GridSpec) -> np.ndarray:
 
 
 def phi_batch(spec: GridSpec, words: np.ndarray) -> np.ndarray:
-    """Row-wise ``phi`` over a word array; returns int16 coordinates."""
+    """Row-wise ``phi`` over a word array; returns int16 coordinates, or
+    a wider type when some axis is longer than int16 can count."""
     count, n = words.shape
     if n != spec.total_moves:
         raise GraphError(f"word array has {n} columns, expected {spec.total_moves}")
+    dtype = np.promote_types(np.int16, np.min_scalar_type(max(spec.dims)))
     if spec.embedding_dim == 0:
-        return np.zeros((count, 0), dtype=np.int16)
+        return np.zeros((count, 0), dtype=dtype)
     after = {}
     for i in range(1, spec.m):
-        hits = (words == i).astype(np.int16)
-        suffix = np.cumsum(hits[:, ::-1], axis=1, dtype=np.int16)[:, ::-1]
+        hits = (words == i).astype(dtype)
+        suffix = np.cumsum(hits[:, ::-1], axis=1, dtype=dtype)[:, ::-1]
         after[i] = np.concatenate(
-            [suffix[:, 1:], np.zeros((count, 1), dtype=np.int16)], axis=1
+            [suffix[:, 1:], np.zeros((count, 1), dtype=dtype)], axis=1
         )
     cols = []
     for j in range(2, spec.m + 1):

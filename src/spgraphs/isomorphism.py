@@ -1,22 +1,26 @@
 """Graph isomorphism: a canonical form, and a witness search.
 
-``canonical_form`` labels a graph canonically, after McKay & Piperno,
-*Practical Graph Isomorphism II* (2014): refine the ordered vertex
-partition until it is equitable, individualize each vertex of the first
-non-singleton cell in turn, and keep the largest adjacency code over the
-leaves of that search tree. Two graphs get equal forms exactly when they
-are isomorphic, so duplicates are removed by set membership
-(``verify.enumerate_graphs``), not by pairwise search. The tree is pruned
-only by twins; the argument is in ``_canonical_code``.
+Both work on one tree, after McKay & Piperno, *Practical Graph
+Isomorphism II* (2014): refine the ordered vertex partition until it is
+equitable (``_refine``), then individualize a vertex of the first
+non-singleton cell and refine again, down to discrete leaves. Each leaf
+reads as a vertex order, and the tree is pruned only by twins.
 
-``find_isomorphism`` is exact too (refinement only prunes it) and returns
-a full vertex bijection, so callers can verify the witness independently.
-Intended for desk-scale graphs (a few hundred vertices).
+``canonical_form`` keeps the largest adjacency code over the leaves. Two
+graphs get equal forms exactly when they are isomorphic, so duplicates are
+removed by set membership (``verify.enumerate_graphs``), not by pairwise
+search; the argument is in ``_canonical_code``.
+
+``find_isomorphism`` walks the same tree on two graphs side by side and
+returns the first leaf whose vertex bijection preserves edges, so callers
+can verify the witness independently. It refuses graphs above
+``max_vertices`` (``DEFAULT_MAX_VERTICES`` = 200) with
+``IsomorphismSizeError``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from typing import Iterator
 
 from .graphs import Graph, iter_bits
 
@@ -25,73 +29,6 @@ DEFAULT_MAX_VERTICES = 200
 
 class IsomorphismSizeError(ValueError):
     """Raised when an input exceeds the configured vertex cap."""
-
-
-def _triangle_counts(g: Graph) -> list[int]:
-    bits = g.adjacency_bits
-    counts = [0] * g.num_vertices
-    idx = g.index
-    for u, v in g.edges:
-        iu, iv = idx[u], idx[v]
-        common = (bits[iu] & bits[iv]).bit_count()
-        counts[iu] += common
-        counts[iv] += common
-    return counts
-
-
-def color_refinement(g: Graph) -> list[int]:
-    """Stable vertex coloring refined from (degree, triangle count).
-
-    Color ids are canonical: two graphs related by an isomorphism receive
-    identical color multisets, and matching vertices get equal ids.
-    """
-    n = g.num_vertices
-    bits = g.adjacency_bits
-    tri = _triangle_counts(g)
-    signature: list[object] = [(bits[i].bit_count(), tri[i]) for i in range(n)]
-    ranks = {sig: r for r, sig in enumerate(sorted(set(signature)))}
-    colors = [ranks[sig] for sig in signature]
-    neighbors = [list(iter_bits(b)) for b in bits]
-    while True:
-        signature = [
-            (colors[i], tuple(sorted(colors[w] for w in neighbors[i]))) for i in range(n)
-        ]
-        ranks = {sig: r for r, sig in enumerate(sorted(set(signature)))}
-        new_colors = [ranks[sig] for sig in signature]
-        if len(set(new_colors)) == len(set(colors)):
-            return new_colors
-        colors = new_colors
-
-
-def iso_invariant(g: Graph) -> tuple:
-    """A hashable isomorphism invariant, useful for bucketing candidates."""
-    n = g.num_vertices
-    colors = color_refinement(g)
-    neighbors = [list(iter_bits(b)) for b in g.adjacency_bits]
-    profile = tuple(
-        sorted((colors[i], tuple(sorted(colors[w] for w in neighbors[i]))) for i in range(n))
-    )
-    return (n, g.num_edges, profile)
-
-
-def _search_order(g: Graph, colors: list[int]) -> list[int]:
-    """Static variable order: rare colors first, then stay connected."""
-    n = g.num_vertices
-    bits = g.adjacency_bits
-    class_size = Counter(colors)
-    chosen: list[int] = []
-    chosen_mask = 0
-    remaining = set(range(n))
-    while remaining:
-        def key(i: int) -> tuple:
-            mapped_nbrs = (bits[i] & chosen_mask).bit_count()
-            return (-mapped_nbrs, class_size[colors[i]], i)
-
-        pick = min(remaining, key=key)
-        chosen.append(pick)
-        chosen_mask |= 1 << pick
-        remaining.discard(pick)
-    return chosen
 
 
 def _refine(bits: list[int], cells: list[int], splitters: list[int]) -> list[int]:
@@ -206,10 +143,29 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     return g.num_vertices, _canonical_code(g.adjacency_bits)
 
 
+def iso_invariant(g: Graph) -> tuple:
+    """``(n, m, cell sizes of the equitable partition at the root)``: equal
+    for isomorphic graphs, so it buckets candidates for a search."""
+    n = g.num_vertices
+    everything = [(1 << n) - 1] if n else []
+    cells = _refine(g.adjacency_bits, everything, everything)
+    return n, g.num_edges, tuple(cell.bit_count() for cell in cells)
+
+
 def find_isomorphism(
     g1: Graph, g2: Graph, *, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> dict[str, str] | None:
     """Return a vertex bijection realizing g1 ~ g2, or None.
+
+    A node pairs a partition of each graph. Below it, g1 individualizes
+    the first vertex of its first non-singleton cell and g2 each vertex of
+    the matching cell but twins (swapping a twin for a kept vertex is an
+    automorphism of g2 that fixes the partition). An isomorphism that maps
+    one partition onto the other still does after refinement, so a node
+    whose cell sizes differ is cut; a discrete leaf is returned once its
+    bijection is checked on the edges. The stack is explicit because the
+    tree can be n levels deep, and children are made lazily, so a search
+    whose first branches succeed never looks at the rest of a cell.
 
     Raises IsomorphismSizeError when either graph has more than
     ``max_vertices`` vertices.
@@ -221,60 +177,44 @@ def find_isomorphism(
     n = g1.num_vertices
     if n != g2.num_vertices or g1.num_edges != g2.num_edges:
         return None
-    if n == 0:
-        return {}
-    colors1 = color_refinement(g1)
-    colors2 = color_refinement(g2)
-    if sorted(colors1) != sorted(colors2):
-        return None
-
     bits1 = g1.adjacency_bits
     bits2 = g2.adjacency_bits
-    order = _search_order(g1, colors1)
-    # For each position, the earlier positions whose g1 vertex is adjacent.
-    earlier_nbrs: list[list[int]] = []
-    for pos, v in enumerate(order):
-        earlier_nbrs.append([p for p in range(pos) if bits1[v] >> order[p] & 1])
-    by_color: dict[int, list[int]] = {}
-    for j in range(n):
-        by_color.setdefault(colors2[j], []).append(j)
 
-    image = [-1] * n  # g1 index -> g2 index
-    used_mask = 0
-    stack: list[list[int]] = []
-
-    def candidates(pos: int) -> list[int]:
-        v = order[pos]
-        required = 0
-        for p in earlier_nbrs[pos]:
-            required |= 1 << image[order[p]]
-        out = []
-        for w in by_color.get(colors1[v], ()):
-            if used_mask >> w & 1:
+    def children(cells1: list[int], cells2: list[int]) -> Iterator[tuple]:
+        k = next(k for k, cell in enumerate(cells1) if cell & (cell - 1))
+        target1, target2 = cells1[k], cells2[k]
+        v = target1 & -target1
+        split1 = cells1[:k] + [v, target1 ^ v] + cells1[k + 1 :]
+        kept: list[int] = []
+        for w in iter_bits(target2):
+            low = 1 << w
+            if any(bits2[w] & ~(1 << u) == bits2[u] & ~low for u in kept):
                 continue
-            if bits2[w] & used_mask == required:
-                out.append(w)
-        return out
+            kept.append(w)
+            yield split1, [v], cells2[:k] + [low, target2 ^ low] + cells2[k + 1 :], [low]
 
-    pos = 0
-    stack.append(candidates(0))
+    everything = [(1 << n) - 1] if n else []
+    stack = [iter([(everything, everything, everything, everything)])]
     while stack:
-        cands = stack[-1]
-        if not cands:
+        node = next(stack[-1], None)
+        if node is None:
             stack.pop()
-            pos -= 1
-            if pos >= 0:
-                w = image[order[pos]]
-                image[order[pos]] = -1
-                used_mask ^= 1 << w
             continue
-        w = cands.pop()
-        image[order[pos]] = w
-        used_mask |= 1 << w
-        if pos == n - 1:
-            return {g1.vertices[order[p]]: g2.vertices[image[order[p]]] for p in range(n)}
-        pos += 1
-        stack.append(candidates(pos))
+        cells1 = _refine(bits1, node[0], node[1])
+        cells2 = _refine(bits2, node[2], node[3])
+        if [c.bit_count() for c in cells1] != [c.bit_count() for c in cells2]:
+            continue
+        if len(cells1) < n:
+            stack.append(children(cells1, cells2))
+            continue
+        image = [0] * n
+        for c1, c2 in zip(cells1, cells2):
+            image[c1.bit_length() - 1] = c2.bit_length() - 1
+        if all(
+            sum(1 << image[u] for u in iter_bits(row)) == bits2[image[v]]
+            for v, row in enumerate(bits1)
+        ):
+            return {g1.vertices[v]: g2.vertices[image[v]] for v in range(n)}
     return None
 
 

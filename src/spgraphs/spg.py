@@ -478,12 +478,14 @@ def spg_from_json(text: str) -> SpGraph:
         isinstance(g, list) and all(isinstance(x, str) for x in g) for g in geodesics
     ):
         raise SpgStructureError("'geodesics' must be a list of vertex-id lists")
+    if not isinstance(payload["edges"], list):
+        raise SpgStructureError("'edges' must be a list of edge records")
     edge_index: dict[tuple[int, int], int] = {}
     for k, e in enumerate(payload["edges"]):
         if not isinstance(e, dict) or not {"u", "w", "index"} <= set(e):
             raise SpgStructureError(f"edge #{k} needs fields u, w, index")
         u, w, pos = e["u"], e["w"], e["index"]
-        if not all(isinstance(x, int) for x in (u, w, pos)):
+        if not all(type(x) is int for x in (u, w, pos)):
             raise SpgStructureError(f"edge #{k} fields must be integers")
         if u > w:
             u, w = w, u

@@ -53,7 +53,6 @@ from .grid import (
     cayley_adjacent_transpositions,
     coord_name,
     grid_base,
-    iter_words,
     MoveSequence,
     name_coords,
     phi_batch,
@@ -782,7 +781,7 @@ def check_tournament_bijection(m: int) -> CheckReport:
     spec = GridSpec((1,) * m)
     seen: set[tuple[bool, ...]] = set()
     total = 0
-    for word in iter_words(spec):
+    for word in map(tuple, words_array(spec).tolist()):
         total += 1
         ms = MoveSequence(spec, word)
         t = tournament_of(ms)

@@ -223,6 +223,26 @@ def test_grid_unphi_reports_non_image_points(capsys):
     )
     assert code == 0
     assert out.startswith("not in image:")
+    code, out, _ = _run(
+        capsys, ["grid", "unphi", "--dims", "1,1,1", "--coords", "2,0,0"]
+    )
+    assert code == 0
+    assert out.startswith("not in image:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["phi", "--dims", "3,3,2", "--seq", "3x"], "symbols must be integers"),
+        (["unphi", "--dims", "3,3,2", "--coords", "3,2,1"], "expected 7 coordinates, got 3"),
+    ],
+    ids=["phi", "unphi"],
+)
+def test_grid_malformed_input_is_a_usage_error(capsys, argv, message):
+    code, out, err = _run(capsys, ["grid", *argv])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error:") and message in err
 
 
 def test_grid_enum(capsys):
@@ -367,6 +387,12 @@ def test_verify_file_corpus(capsys, tmp_path):
     assert code == 2
     assert "need graph, source, and target" in err
 
+    for field in ("source", "target"):
+        corpus.write_text(json.dumps([{**entry, field: ["a0"]}]))
+        code, _, err = _run(capsys, ["verify", "all", "--corpus", f"file:{corpus}"])
+        assert code == 2
+        assert err.splitlines()[-1].startswith("error:") and "string source" in err
+
 
 def test_export_dot(capsys, tmp_path):
     h = build_spg(BaseInstance(complete_bipartite_graph(2, 2), "a0", "a1"))
@@ -378,6 +404,28 @@ def test_export_dot(capsys, tmp_path):
     assert code == 0
     assert out.startswith('graph "mine" {')
     assert "--" in out
+
+
+_TWO_GEODESICS = [["a", "x", "b"], ["a", "y", "b"]]
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"geodesics": [["a", "b"]], "edges": 5}, "'edges' must be a list"),
+        ({"geodesics": _TWO_GEODESICS, "edges": [{"u": True, "w": 0, "index": 1}]}, "integers"),
+        ({"geodesics": _TWO_GEODESICS, "edges": [{"u": 0, "w": True, "index": 1}]}, "integers"),
+        ({"geodesics": _TWO_GEODESICS, "edges": [{"u": 0, "w": 1, "index": True}]}, "integers"),
+    ],
+    ids=["edges-not-a-list", "bool-u", "bool-w", "bool-index"],
+)
+def test_export_rejects_malformed_spg_files(capsys, tmp_path, payload, message):
+    spg_file = tmp_path / "bad.json"
+    spg_file.write_text(json.dumps(payload))
+    code, out, err = _run(capsys, ["export", "--spg", str(spg_file)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("error:") and message in err
 
 
 # -- output layout -------------------------------------------------------------

@@ -21,7 +21,6 @@ from spgraphs import (
     enumerate_sequences,
     grid_base,
     is_isomorphic,
-    iter_words,
     parse_move_sequence,
     phi,
     phi_batch,
@@ -30,6 +29,12 @@ from spgraphs import (
     tournament_of,
     words_array,
 )
+
+
+def _words(dims):
+    """Every word over the dims in lexicographic order, from itertools."""
+    letters = [s for s, n in enumerate(dims, start=1) for _ in range(n)]
+    return sorted(set(itertools.permutations(letters)))
 
 
 def test_grid_spec_basics():
@@ -66,6 +71,9 @@ def test_move_sequence_validation_and_text_forms():
     ms = MoveSequence(wide, tuple(range(1, 11)))
     assert str(ms) == "1,2,3,4,5,6,7,8,9,10"
     assert parse_move_sequence(wide, str(ms)).symbols == ms.symbols
+    for text in ("12x", "1,,2"):
+        with pytest.raises(GraphError, match="integers"):
+            parse_move_sequence(spec, text)
 
 
 def test_lattice_point_validation_and_json():
@@ -108,10 +116,15 @@ def test_phi_worked_example():
     assert phi_inverse(point).symbols == (3, 2, 1, 2, 1, 2, 3, 1)
 
 
+def test_phi_counts_past_int16():
+    spec = GridSpec((40000, 1))
+    assert phi(MoveSequence(spec, (2,) + (1,) * 40000)).coords == (40000,)
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (1, 1, 1), (2, 1, 2), (3, 2)])
 def test_phi_matches_direct_counting_and_inverts(dims):
     spec = GridSpec(dims)
-    for word in iter_words(spec):
+    for word in _words(dims):
         ms = MoveSequence(spec, word)
         point = phi(ms)
         assert point.coords == oracles.brute_phi(dims, word)
@@ -121,7 +134,7 @@ def test_phi_matches_direct_counting_and_inverts(dims):
 @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1, 2)])
 def test_inverse_decides_image_membership(dims):
     spec = GridSpec(dims)
-    image = {phi(MoveSequence(spec, w)).coords for w in iter_words(spec)}
+    image = {phi(MoveSequence(spec, w)).coords for w in _words(dims)}
     layout = spec.coordinate_layout()
     ranges = [range(spec.dims[i - 1] + 1) for (i, j, k) in layout]
     hits = set()
@@ -152,8 +165,8 @@ def test_phi_batch_matches_the_scalar_map():
     assert words.shape == (spec.word_count(), spec.total_moves)
     coords = phi_batch(spec, words)
     assert coords.shape == (spec.word_count(), spec.embedding_dim)
-    for row, word in enumerate(iter_words(spec)):
-        assert tuple(int(c) for c in coords[row]) == phi(MoveSequence(spec, word)).coords
+    for row, word in zip(coords.tolist(), words.tolist()):
+        assert tuple(row) == oracles.brute_phi(spec.dims, tuple(word))
     with pytest.raises(GraphError):
         phi_batch(spec, np.zeros((2, 3), dtype=np.uint8))
 
@@ -163,7 +176,7 @@ def test_words_array_lists_every_word_in_order(dims):
     spec = GridSpec(dims)
     words = words_array(spec)
     assert words.dtype == np.uint8
-    assert [tuple(row) for row in words.tolist()] == list(iter_words(spec))
+    assert [tuple(row) for row in words.tolist()] == _words(dims)
 
 
 def test_phi_batch_on_a_single_axis_is_empty():
@@ -210,7 +223,7 @@ def test_tournament_validation_and_ranking():
 def test_tournament_of_recovers_every_word():
     spec = GridSpec((1, 1, 1, 1))
     seen = set()
-    for word in iter_words(spec):
+    for word in _words(spec.dims):
         t = tournament_of(MoveSequence(spec, word))
         assert t.ranking() == word
         seen.add(t.beats)

@@ -61,6 +61,15 @@ def test_size_cap_is_enforced_and_adjustable():
     assert mapping is not None and len(mapping) == 201
 
 
+@pytest.mark.parametrize("g", [empty_graph(1500), path_graph(999)], ids=["empty", "path"])
+def test_witness_on_large_sparse_graphs(g):
+    # The empty graph individualizes one vertex per level, 1500 levels deep.
+    relabeled = _shuffled(g, random.Random(g.num_vertices))
+    mapping = find_isomorphism(g, relabeled, max_vertices=2000)
+    assert mapping is not None
+    _check_witness(g, relabeled, mapping)
+
+
 def test_trivial_cases():
     assert find_isomorphism(empty_graph(0), empty_graph(0)) == {}
     assert not is_isomorphic(empty_graph(2), path_graph(1))
