@@ -34,6 +34,7 @@ from .graphs import (
     BaseInstance,
     Graph,
     GraphError,
+    _norm_edge,
     complete_graph,
     cycle_graph,
     distances,
@@ -435,15 +436,11 @@ def _part_product(
     edges: set[tuple[str, str]] = set()
     for i, j in left_spg:
         for q in right:
-            edges.add(_norm(name(left[i], q), name(left[j], q)))
+            edges.add(_norm_edge(name(left[i], q), name(left[j], q)))
     for i, j in right_spg:
         for p in left:
-            edges.add(_norm(name(p, right[i]), name(p, right[j])))
+            edges.add(_norm_edge(name(p, right[i]), name(p, right[j])))
     return vertices, edges
-
-
-def _norm(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if u < v else (v, u)
 
 
 def predict_two_sum(
@@ -511,7 +508,7 @@ def predict_two_sum(
         for name, (p, q) in parts[x].items():
             for p2, q2 in by_prefix.get(p[:-1], ()):
                 if q2[1:] == q[1:]:
-                    edges.add(_norm(name, "|".join(p2 + q2[1:])))
+                    edges.add(_norm_edge(name, "|".join(p2 + q2[1:])))
     return TwoSumPrediction(
         case=case,
         predicted=Graph({**parts[x], **parts[y]}, edges),

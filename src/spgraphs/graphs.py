@@ -28,6 +28,15 @@ def _norm_edge(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u < v else (v, u)
 
 
+def _bitmasks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """One int bitmask of neighbours per vertex ``0..n-1``."""
+    bits = [0] * n
+    for i, j in edges:
+        bits[i] |= 1 << j
+        bits[j] |= 1 << i
+    return bits
+
+
 class Graph:
     """An immutable finite simple undirected graph.
 
@@ -110,12 +119,8 @@ class Graph:
         """Adjacency as one int bitmask per vertex, in vertex order."""
         if self._bits is None:
             idx = self.index
-            bits = [0] * len(self.vertices)
-            for u, v in self.edges:
-                iu, iv = idx[u], idx[v]
-                bits[iu] |= 1 << iv
-                bits[iv] |= 1 << iu
-            self._bits = bits
+            pairs = ((idx[u], idx[v]) for u, v in self.edges)
+            self._bits = _bitmasks(len(self.vertices), pairs)
         return self._bits
 
     # -- equality and display ----------------------------------------------

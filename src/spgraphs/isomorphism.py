@@ -1,21 +1,18 @@
 """Graph isomorphism: a canonical form, and a witness search.
 
-Both work on one tree, after McKay & Piperno, *Practical Graph
-Isomorphism II* (2014): refine the ordered vertex partition until it is
-equitable (``_refine``), then individualize a vertex of the first
-non-singleton cell and refine again, down to discrete leaves. Each leaf
-reads as a vertex order, and the tree is pruned only by twins.
+Both walk one tree, after McKay & Piperno, *Practical Graph Isomorphism
+II* (2014): refine the ordered vertex partition until it is equitable
+(``_refine``), then individualize a vertex of the first non-singleton cell
+and refine again, down to discrete leaves, each read as a vertex order.
+``_leaf_paths`` walks it with an explicit stack, pruned only by twins.
 
-``canonical_form`` keeps the largest adjacency code over the leaves. Two
-graphs get equal forms exactly when they are isomorphic, so duplicates are
-removed by set membership (``verify.enumerate_graphs``), not by pairwise
-search; the argument is in ``_canonical_code``.
-
-``find_isomorphism`` walks the same tree on two graphs side by side and
-returns the first leaf whose vertex bijection preserves edges, so callers
-can verify the witness independently. It refuses graphs above
-``max_vertices`` (``DEFAULT_MAX_VERTICES`` = 200) with
-``IsomorphismSizeError``.
+``canonical_form`` keeps the largest adjacency code over the leaves, so
+duplicates are removed by set membership (``verify.enumerate_graphs``).
+``find_isomorphism`` walks g2's tree against g1's first leaf and returns a
+bijection checked on the edges; it refuses graphs above ``max_vertices``
+(``DEFAULT_MAX_VERTICES`` = 200) with ``IsomorphismSizeError``. Both read
+only ``num_vertices``, ``num_edges``, ``vertices`` and ``adjacency_bits``,
+so they take a ``Graph`` or an ``SpGraph``.
 """
 
 from __future__ import annotations
@@ -23,6 +20,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .graphs import Graph, iter_bits
+from .spg import SpGraph
 
 DEFAULT_MAX_VERTICES = 200
 
@@ -82,6 +80,56 @@ def _refine(bits: list[int], cells: list[int], splitters: list[int]) -> list[int
     return cells
 
 
+def _leaf_paths(
+    bits: list[int], sizes: list[list[int]] | None = None
+) -> Iterator[list[list[int]]]:
+    """Yield, at each discrete leaf of the individualization tree of the
+    graph with adjacency rows ``bits``, depth first, the refined partitions
+    from the root down to it (one list, reused: read it before the next).
+
+    Below a node, each vertex of the first non-singleton cell is
+    individualized in turn, but for twins: vertices u, w of that cell whose
+    neighbourhoods agree apart from each other. Swapping them is an
+    automorphism that fixes this node's partition (every individualized
+    vertex is a singleton), so it maps the subtree of u onto that of w leaf
+    for leaf, and only the first of a set of twins is kept. With ``sizes``
+    (cell sizes per depth along a path of another graph), a node whose cell
+    sizes differ from ``sizes`` at its depth is cut with its subtree.
+    """
+    n = len(bits)
+
+    def children(cells: list[int]) -> Iterator[tuple[list[int], list[int]]]:
+        k = next(k for k, cell in enumerate(cells) if cell & (cell - 1))
+        target = cells[k]
+        kept: list[int] = []
+        for v in iter_bits(target):
+            low = 1 << v
+            if any(bits[v] & ~(1 << u) == bits[u] & ~low for u in kept):
+                continue
+            kept.append(v)
+            yield cells[:k] + [low, target ^ low] + cells[k + 1 :], [low]
+
+    everything = [(1 << n) - 1] if n else []
+    path: list[list[int]] = []
+    stack = [iter([(everything, everything)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            # the children of path[-1] are done (at the root, path is empty)
+            stack.pop()
+            del path[-1:]
+            continue
+        cells = _refine(bits, *node)
+        if sizes is not None and [c.bit_count() for c in cells] != sizes[len(path)]:
+            continue
+        path.append(cells)
+        if len(cells) == n:
+            yield path
+            path.pop()
+        else:
+            stack.append(children(cells))
+
+
 def _canonical_code(bits: list[int]) -> int:
     """The largest adjacency code over the leaves of the individualization
     tree of the graph with adjacency rows ``bits``.
@@ -90,50 +138,22 @@ def _canonical_code(bits: list[int]) -> int:
     code lists the upper triangle of the adjacency matrix in that order.
     Relabelling the graph relabels the whole tree, so the set of leaf codes,
     and its maximum, depend only on the isomorphism class, and the code
-    determines the graph, so equal codes mean isomorphic graphs.
-
-    The only prune is by twins: vertices u, w of the target cell whose
-    neighbourhoods agree apart from each other. Swapping them is then an
-    automorphism, and it fixes every individualized vertex (those are
-    singletons, and u and w share a larger cell), hence the partition at
-    this node. It maps the subtree below individualizing u onto the one
-    below w leaf for leaf, and the leaves it pairs have equal codes, so
-    the subtree of w adds no new code.
+    determines the graph, so equal codes mean isomorphic graphs. A subtree
+    cut by the twin prune has the codes of a kept one, leaf for leaf.
     """
-    n = len(bits)
     best = 0
-
-    def search(cells: list[int], splitters: list[int]) -> None:
-        nonlocal best
-        cells = _refine(bits, cells, splitters)
-        if len(cells) == n:
-            order = [cell.bit_length() - 1 for cell in cells]
-            code = 0
-            for i, v in enumerate(order):
-                row = bits[v]
-                for w in order[i + 1 :]:
-                    code = code << 1 | (row >> w & 1)
-            best = max(best, code)
-            return
-        k = next(k for k, cell in enumerate(cells) if cell & (cell - 1))
-        target = cells[k]
-        kept: list[int] = []
-        rest = target
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            if any(bits[v] & ~(1 << u) == bits[u] & ~low for u in kept):
-                continue
-            kept.append(v)
-            search(cells[:k] + [low, target ^ low] + cells[k + 1 :], [low])
-
-    everything = [(1 << n) - 1] if n else []
-    search(everything, everything)
+    for path in _leaf_paths(bits):
+        order = [cell.bit_length() - 1 for cell in path[-1]]
+        code = 0
+        for i, v in enumerate(order):
+            row = bits[v]
+            for w in order[i + 1 :]:
+                code = code << 1 | (row >> w & 1)
+        best = max(best, code)
     return best
 
 
-def canonical_form(g: Graph) -> tuple[int, int]:
+def canonical_form(g: Graph | SpGraph) -> tuple[int, int]:
     """``(n, code)``, equal for two graphs exactly when they are isomorphic.
 
     >>> p = Graph("abc", [("a", "b"), ("b", "c")])
@@ -143,7 +163,7 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     return g.num_vertices, _canonical_code(g.adjacency_bits)
 
 
-def iso_invariant(g: Graph) -> tuple:
+def iso_invariant(g: Graph | SpGraph) -> tuple:
     """``(n, m, cell sizes of the equitable partition at the root)``: equal
     for isomorphic graphs, so it buckets candidates for a search."""
     n = g.num_vertices
@@ -153,62 +173,36 @@ def iso_invariant(g: Graph) -> tuple:
 
 
 def find_isomorphism(
-    g1: Graph, g2: Graph, *, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> dict[str, str] | None:
+    g1: Graph | SpGraph, g2: Graph | SpGraph, *, max_vertices: int = DEFAULT_MAX_VERTICES
+) -> dict | None:
     """Return a vertex bijection realizing g1 ~ g2, or None.
 
-    A node pairs a partition of each graph. Below it, g1 individualizes
-    the first vertex of its first non-singleton cell and g2 each vertex of
-    the matching cell but twins (swapping a twin for a kept vertex is an
-    automorphism of g2 that fixes the partition). An isomorphism that maps
-    one partition onto the other still does after refinement, so a node
-    whose cell sizes differ is cut; a discrete leaf is returned once its
-    bijection is checked on the edges. The stack is explicit because the
-    tree can be n levels deep, and children are made lazily, so a search
-    whose first branches succeed never looks at the rest of a cell.
+    g2's tree is walked against the cell sizes along g1's first leaf path
+    (an isomorphism mapping one partition onto the other still does after
+    refinement), and the first leaf whose bijection preserves edges is
+    returned, keyed by g1's vertices: names, or an ``SpGraph``'s indices.
+
+    >>> from .constructions import hypercube_base
+    >>> from .graphs import hypercube_graph
+    >>> from .spg import build_spg
+    >>> sorted(find_isomorphism(build_spg(hypercube_base(3).instance), hypercube_graph(3)))
+    [0, 1, 2, 3, 4, 5, 6, 7]
 
     Raises IsomorphismSizeError when either graph has more than
     ``max_vertices`` vertices.
     """
     if g1.num_vertices > max_vertices or g2.num_vertices > max_vertices:
-        raise IsomorphismSizeError(
-            f"isomorphism search capped at {max_vertices} vertices"
-        )
+        raise IsomorphismSizeError(f"isomorphism search capped at {max_vertices} vertices")
     n = g1.num_vertices
     if n != g2.num_vertices or g1.num_edges != g2.num_edges:
         return None
     bits1 = g1.adjacency_bits
     bits2 = g2.adjacency_bits
-
-    def children(cells1: list[int], cells2: list[int]) -> Iterator[tuple]:
-        k = next(k for k, cell in enumerate(cells1) if cell & (cell - 1))
-        target1, target2 = cells1[k], cells2[k]
-        v = target1 & -target1
-        split1 = cells1[:k] + [v, target1 ^ v] + cells1[k + 1 :]
-        kept: list[int] = []
-        for w in iter_bits(target2):
-            low = 1 << w
-            if any(bits2[w] & ~(1 << u) == bits2[u] & ~low for u in kept):
-                continue
-            kept.append(w)
-            yield split1, [v], cells2[:k] + [low, target2 ^ low] + cells2[k + 1 :], [low]
-
-    everything = [(1 << n) - 1] if n else []
-    stack = [iter([(everything, everything, everything, everything)])]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            continue
-        cells1 = _refine(bits1, node[0], node[1])
-        cells2 = _refine(bits2, node[2], node[3])
-        if [c.bit_count() for c in cells1] != [c.bit_count() for c in cells2]:
-            continue
-        if len(cells1) < n:
-            stack.append(children(cells1, cells2))
-            continue
+    path1 = next(_leaf_paths(bits1))
+    sizes = [[c.bit_count() for c in cells] for cells in path1]
+    for path2 in _leaf_paths(bits2, sizes):
         image = [0] * n
-        for c1, c2 in zip(cells1, cells2):
+        for c1, c2 in zip(path1[-1], path2[-1]):
             image[c1.bit_length() - 1] = c2.bit_length() - 1
         if all(
             sum(1 << image[u] for u in iter_bits(row)) == bits2[image[v]]
@@ -219,6 +213,6 @@ def find_isomorphism(
 
 
 def is_isomorphic(
-    g1: Graph, g2: Graph, *, max_vertices: int = DEFAULT_MAX_VERTICES
+    g1: Graph | SpGraph, g2: Graph | SpGraph, *, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> bool:
     return find_isomorphism(g1, g2, max_vertices=max_vertices) is not None

@@ -43,7 +43,7 @@ from .geodesics import (
     enumerate_geodesics,
     geodesic_matrix,
 )
-from .graphs import BaseInstance, Graph, json_records, quote
+from .graphs import BaseInstance, Graph, _bitmasks, json_records, quote
 
 # geodesic count from which build_spg takes the matrix path (see build_spg)
 MATRIX_CUTOFF = 100
@@ -217,15 +217,6 @@ class _ArraySpGraph(SpGraph):
         if self._bits is None:
             self._bits = _bitmasks(self.num_vertices, self.sorted_edges())
         return self._bits
-
-
-def _bitmasks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """One int bitmask of neighbours per vertex ``0..n-1``."""
-    bits = [0] * n
-    for i, j in edges:
-        bits[i] |= 1 << j
-        bits[j] |= 1 << i
-    return bits
 
 
 def difference_positions(u: Geodesic, w: Geodesic) -> list[int]:

@@ -479,6 +479,8 @@ def random_instances(
 ) -> list[BaseInstance]:
     """Seeded random instances: G(n, p) with n in 4..max_vertices and
     p in {0.3, 0.5}, endpoints redrawn until connected."""
+    if count < 0 or max_vertices < 4:
+        raise GraphError("random instances need count >= 0 and max_vertices >= 4")
     rng = random.Random(seed)
     out: list[BaseInstance] = []
     while len(out) < count:
@@ -769,7 +771,7 @@ def check_cayley(m: int, *, limit: int = DEFAULT_GEODESIC_LIMIT) -> CheckReport:
     stats = {"vertices": cay.num_vertices, "edges": cay.num_edges}
     if h.num_vertices != cay.num_vertices:
         return CheckReport(name, False, "vertex counts differ", stats)
-    if find_isomorphism(h.to_graph(), cay) is None:
+    if find_isomorphism(h, cay) is None:
         return CheckReport(name, False, "not isomorphic to the switch graph", stats)
     return CheckReport(name, True, None, stats)
 

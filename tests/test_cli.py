@@ -327,6 +327,24 @@ def test_verify_random_corpus_reports_seed(capsys):
     assert out.strip().endswith("PASS")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "all", "--corpus", "random:5:3:1"],
+        ["verify", "all", "--corpus", "random:-1:5:1"],
+        ["verify", "sums", "--corpus", "random:2:3:1"],
+    ],
+    ids=["maxn-below-4", "negative-count", "sums-maxn-below-4"],
+)
+def test_verify_random_corpus_out_of_range_is_a_usage_error(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert "PASS" not in out
+    assert err.splitlines()[-1] == (
+        "error: random instances need count >= 0 and max_vertices >= 4"
+    )
+
+
 def test_verify_sums(capsys):
     code, out, err = _run(capsys, ["verify", "sums", "--corpus", "random:3:5:7"])
     assert code == 0

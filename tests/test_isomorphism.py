@@ -1,6 +1,7 @@
 """Tests for the canonical form, the isomorphism search and its invariant."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,12 @@ def test_witness_on_large_sparse_graphs(g):
     mapping = find_isomorphism(g, relabeled, max_vertices=2000)
     assert mapping is not None
     _check_witness(g, relabeled, mapping)
+
+
+def test_canonical_form_on_a_tree_deeper_than_the_recursion_limit():
+    # One level per vertex: deeper than the interpreter's recursion limit.
+    n = sys.getrecursionlimit() + 100
+    assert canonical_form(empty_graph(n)) == (n, 0)
 
 
 def test_trivial_cases():
