@@ -151,19 +151,22 @@ def name_coords(name: str) -> tuple[int, ...]:
 
 
 def grid_base(spec: GridSpec) -> BaseInstance:
-    """The grid of paths as an instance: origin corner to opposite corner."""
+    """The grid of paths as an instance: origin corner to opposite corner.
+
+    Vertices are numbered in mixed radix (n_i + 1, last axis fastest), so a
+    step along an axis adds its place value; each name is formatted once.
+    """
     ranges = [range(n + 1) for n in spec.dims]
-    verts = [coord_name(c) for c in product(*ranges)]
+    names = [coord_name(c) for c in product(*ranges)]
+    ids = np.arange(len(names)).reshape([n + 1 for n in spec.dims])
     edges = []
-    for c in product(*ranges):
-        for axis in range(spec.m):
-            if c[axis] < spec.dims[axis]:
-                step = list(c)
-                step[axis] += 1
-                edges.append((coord_name(c), coord_name(step)))
-    source = coord_name([0] * spec.m)
-    target = coord_name(spec.dims)
-    return BaseInstance(Graph(verts, edges), source, target)
+    place = len(names)
+    for axis, n in enumerate(spec.dims):
+        place //= n + 1
+        # every vertex but those on the axis's far face steps up by ``place``
+        low = ids.take(range(n), axis=axis).ravel().tolist()
+        edges += [(names[v], names[v + place]) for v in low]
+    return BaseInstance(Graph(names, edges), names[0], names[-1])
 
 
 # -- word enumeration ------------------------------------------------------
@@ -258,28 +261,27 @@ def words_array(spec: GridSpec) -> np.ndarray:
 
 def phi_batch(spec: GridSpec, words: np.ndarray) -> np.ndarray:
     """Row-wise ``phi`` over a word array; returns int16 coordinates, or
-    a wider type when some axis is longer than int16 can count."""
+    a wider type when some axis is longer than int16 can count.
+
+    Coordinate (i, j, k) is n_i minus the i's at or before the k-th j: one
+    running count per symbol i, read at the flat positions of each later j.
+    """
     count, n = words.shape
     if n != spec.total_moves:
         raise GraphError(f"word array has {n} columns, expected {spec.total_moves}")
     dtype = np.promote_types(np.int16, np.min_scalar_type(max(spec.dims)))
-    if spec.embedding_dim == 0:
-        return np.zeros((count, 0), dtype=dtype)
-    after = {}
-    for i in range(1, spec.m):
-        hits = (words == i).astype(dtype)
-        suffix = np.cumsum(hits[:, ::-1], axis=1, dtype=dtype)[:, ::-1]
-        after[i] = np.concatenate(
-            [suffix[:, 1:], np.zeros((count, 1), dtype=dtype)], axis=1
-        )
-    cols = []
+    out = np.empty((count, spec.embedding_dim), dtype=dtype)
+    seen = [np.cumsum(words == i, axis=1, dtype=dtype).ravel() for i in range(1, spec.m)]
+    col = 0
     for j in range(2, spec.m + 1):
-        # every row holds exactly dims[j - 1] copies of j, so the column
-        # indices of the hits split evenly into rows, in order
-        positions = np.nonzero(words == j)[1].reshape(count, spec.dims[j - 1])
+        # every row holds exactly dims[j - 1] copies of j, so the flat indices
+        # of the hits split evenly into rows, in order
+        where = np.flatnonzero(words == j).reshape(count, spec.dims[j - 1])
         for i in range(1, j):
-            cols.append(np.take_along_axis(after[i], positions, axis=1))
-    return np.concatenate(cols, axis=1)
+            block = out[:, col : col + spec.dims[j - 1]]
+            np.subtract(spec.dims[i - 1], seen[i - 1][where], out=block)
+            col += spec.dims[j - 1]
+    return out
 
 
 # -- staircases, permutations, tournaments -----------------------------------

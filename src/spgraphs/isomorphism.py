@@ -146,9 +146,13 @@ def _canonical_code(bits: list[int]) -> int:
         order = [cell.bit_length() - 1 for cell in path[-1]]
         code = 0
         for i, v in enumerate(order):
+            # one int per row: a shift per bit would copy the whole code
             row = bits[v]
-            for w in order[i + 1 :]:
-                code = code << 1 | (row >> w & 1)
+            rest = order[i + 1 :]
+            r = 0
+            for w in rest:
+                r = r << 1 | (row >> w & 1)
+            code = code << len(rest) | r
         best = max(best, code)
     return best
 

@@ -599,13 +599,14 @@ def _column_multipliers(radixes: list[int]) -> np.ndarray:
 def check_grid_embedding(
     spec: GridSpec, *, limit: int = DEFAULT_GEODESIC_LIMIT
 ) -> CheckReport:
-    """End-to-end check of one grid: the embedding is injective, respects
-    adjacency in both directions and the image constraints, and the grid's
-    shortest path graph matches the word graph edge for edge.
+    """End-to-end check of one grid: ``phi`` is injective and meets the
+    image constraints, the lattice steps inside its image are exactly the
+    word switches, and the grid's shortest path graph is the word graph
+    edge for edge.
 
-    The geodesic-to-word correspondence is exact (each geodesic is decoded
-    step by step from the coordinates of its vertices and located in the
-    lexicographic word list), so the final comparison certifies an
+    Every lattice step is checked to be a switch, and there must be as many
+    steps as switches, so the two sets are equal. Each geodesic is decoded
+    step by step into its word, so the final comparison certifies an
     isomorphism rather than searching for one.
     """
     return _embed_grid(spec, limit)[0]
@@ -615,21 +616,27 @@ def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np
     """The body of ``check_grid_embedding``: its report, the ``phi``
     coordinates of the lexicographic words, and the word edges packed as
     ``u * words + v`` with ``u < v``, sorted. Only a passing report vouches
-    for the arrays."""
+    for the arrays.
+
+    The word list is checked to hold every word once, which the count of
+    switches rests on; each geodesic decodes to a word by its steps' axes.
+    """
     name = "grid-embedding-" + "x".join(str(n) for n in spec.dims)
     count = spec.word_count()
     if count > limit:
         raise GeodesicOverflowError(count, limit)
     words = words_array(spec)
     total, n_moves = words.shape
-    dim = spec.embedding_dim
-    stats: dict[str, object] = {"words": total, "dimension": dim}
+    stats: dict[str, object] = {"words": total, "dimension": spec.embedding_dim}
     coords = phi_batch(spec, words)
-    empty = np.empty(0, dtype=np.int64)
 
     def fail(witness: str) -> tuple[CheckReport, np.ndarray, np.ndarray]:
-        return CheckReport(name, False, witness, stats), coords, empty
+        return CheckReport(name, False, witness, stats), coords, np.empty(0, dtype=np.int64)
 
+    if total != count:
+        return fail(f"{total} words listed, {count} expected")
+    if int(words.min()) < 1 or int(words.max()) > spec.m:
+        return fail(f"a word has a symbol outside 1..{spec.m}")
     wpow = (spec.m + 1) ** np.arange(n_moves - 1, -1, -1, dtype=np.int64)
     wcodes = words.astype(np.int64) @ wpow
     if total > 1 and not bool(np.all(np.diff(wcodes) > 0)):
@@ -644,82 +651,32 @@ def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np
         if k > 1 and bool(np.any(col > coords[:, c - 1])):
             return fail(f"coordinate ({i},{j},{k}) exceeds ({i},{j},{k - 1})")
 
-    if dim:
-        # one more than each column's widest query value (bound + 1)
-        radixes = [spec.dims[i - 1] + 2 for (i, j, k) in layout]
-        mult = _column_multipliers(radixes)
-        codes = coords.astype(np.int64) @ mult
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        dup = sorted_codes[1:] == sorted_codes[:-1]
-        if bool(dup.any()):
-            r = int(np.nonzero(dup)[0][0])
-            return fail(
-                f"embedding collides on words {int(order[r])} and {int(order[r + 1])}"
-            )
-
-    # forward: words one switch apart sit at lattice distance one
-    eu_parts: list[np.ndarray] = []
-    ev_parts: list[np.ndarray] = []
-    for r in range(n_moves - 1):
-        step = words[:, r + 1].astype(np.int64) - words[:, r]
-        rows = np.nonzero(step)[0]
-        if rows.size == 0:
-            continue
-        # switching positions r and r + 1 moves a word's code by this much
-        scodes = wcodes[rows] + step[rows] * (wpow[r] - wpow[r + 1])
-        pos = np.searchsorted(wcodes, scodes)
-        if bool(np.any(wcodes[np.minimum(pos, total - 1)] != scodes)):
-            return fail(f"a switch at position {r} left the word set")
-        keep = rows < pos
-        u, v = rows[keep], pos[keep]
-        if dim:
-            gap = np.abs(coords[u] - coords[v]).sum(axis=1)
-            if bool(np.any(gap != 1)):
-                bad = int(np.nonzero(gap != 1)[0][0])
-                return fail(
-                    f"adjacent words {int(u[bad])} and {int(v[bad])} land "
-                    f"{int(gap[bad])} lattice steps apart"
-                )
-        eu_parts.append(u)
-        ev_parts.append(v)
-    eu = np.concatenate(eu_parts) if eu_parts else empty
-    ev = np.concatenate(ev_parts) if ev_parts else empty
-    word_edges = np.sort(eu * total + ev)
+    word_edges = _lattice_edges(spec, words, wcodes, wpow, coords)
+    del words
+    if isinstance(word_edges, str):
+        return fail(word_edges)
     stats["edges"] = int(word_edges.size)
 
-    # reverse: lattice steps inside the image are exactly those switches
-    if dim:
-        lat_parts: list[np.ndarray] = []
-        for c in range(dim):
-            # queries in sorted order keep the binary searches cache-local
-            qcodes = sorted_codes + mult[c]
-            pos = np.searchsorted(sorted_codes, qcodes)
-            cand = np.minimum(pos, total - 1)
-            hit = (pos < total) & (sorted_codes[cand] == qcodes)
-            # a +1 step that overflows the column can alias a higher column;
-            # packing radixes exceed every query value, so it cannot happen,
-            # but the bounds check above already confines coords anyway
-            u = order[hit]
-            v = order[cand[hit]]
-            lat_parts.append(np.minimum(u, v) * total + np.maximum(u, v))
-        lat_edges = np.sort(np.concatenate(lat_parts) if lat_parts else empty)
-        if not np.array_equal(lat_edges, word_edges):
-            return fail("image-induced lattice adjacency differs from word switches")
-
     # the shortest path graph side: geodesics as rows of vertex ids, each
-    # step decoded through the coordinates of its two end vertices
+    # step decoded to its axis by the mixed-radix keys of its two ends
     dag = build_dag(grid_base(spec))
     n_geodesics = guarded_count(dag, limit)
     if n_geodesics != total:
         return fail(f"{n_geodesics} geodesics but {total} words")
     matrix = geodesic_matrix(dag)
-    points = np.array([name_coords(v) for v in dag.names], dtype=np.int32)
-    geo_codes = np.zeros(total, dtype=np.int64)
-    for s in range(n_moves):
-        moved = points[matrix[:, s + 1]] != points[matrix[:, s]]
-        # the step's symbol is its axis: the first coordinate that changes
-        geo_codes += (np.argmax(moved, axis=1) + 1) * wpow[s]
+    # a unit step along axis a adds place[a] to the key; keys stay below
+    # the vertex count, so they fit the int32 of the vertex ids
+    radix = [n + 1 for n in spec.dims]
+    place = np.array([math.prod(radix[a + 1 :]) for a in range(spec.m)], dtype=np.int32)
+    key = np.array([name_coords(v) for v in dag.names], dtype=np.int32) @ place
+    steps = np.diff(key[matrix], axis=1)
+    axis_of = np.zeros(int(place[0]) + 1, dtype=np.min_scalar_type(spec.m))
+    axis_of[place] = np.arange(spec.m)
+    axis = axis_of.take(steps, mode="clip")
+    if not np.array_equal(place[axis], steps):
+        return fail("a geodesic step is not a unit step along one axis")
+    geo_codes = (axis + 1) @ wpow
+    del key, steps, axis
     rows = np.searchsorted(wcodes, geo_codes)
     if bool(np.any(wcodes[np.minimum(rows, total - 1)] != geo_codes)):
         return fail("a geodesic decodes to an unknown word")
@@ -731,6 +688,64 @@ def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np
     if not np.array_equal(spg_edges, word_edges):
         return fail("shortest path graph edges differ from word switches")
     return CheckReport(name, True, None, stats), coords, word_edges
+
+
+def _lattice_edges(
+    spec: GridSpec, words: np.ndarray, wcodes: np.ndarray, wpow: np.ndarray, coords: np.ndarray
+) -> np.ndarray | str:
+    """The lattice steps inside the image, packed as ``_embed_grid``'s word
+    edges once they are shown to be the switches, or a failure's witness.
+    ``words`` must be every word once, with increasing codes ``wcodes =
+    words @ wpow``, and ``coords`` their images, checked for bounds and
+    weakly decreasing in k."""
+    if not spec.embedding_dim:
+        # one axis: a single word, with no switches
+        return np.empty(0, dtype=np.int64)
+    total, n_moves = words.shape
+    layout = spec.coordinate_layout()
+    # one more than each column's widest query value (bound + 1)
+    mult = _column_multipliers([spec.dims[i - 1] + 2 for (i, j, k) in layout])
+    codes = coords.astype(np.int64) @ mult
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    dup = sorted_codes[1:] == sorted_codes[:-1]
+    if bool(dup.any()):
+        r = int(np.nonzero(dup)[0][0])
+        return f"embedding collides on words {int(order[r])} and {int(order[r + 1])}"
+    # query from the lower end of each step only the points that can rise:
+    # below the bound and, for k > 1, below coordinate k - 1
+    ordered = coords[order]
+    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    for c, (i, j, k) in enumerate(layout):
+        col = ordered[:, c]
+        rise = col < spec.dims[i - 1]
+        if k > 1:
+            rise &= col < ordered[:, c - 1]
+        # queries in sorted order keep the binary searches cache-local
+        at = np.flatnonzero(rise)
+        qcodes = sorted_codes[at] + mult[c]
+        pos = np.searchsorted(sorted_codes, qcodes)
+        hit = sorted_codes[np.minimum(pos, total - 1)] == qcodes
+        steps.append((order[at[hit]], order[pos[hit]]))
+    lu, lv = (np.concatenate(ends) for ends in zip(*steps))
+    # switching symbols s, t at p, p + 1 adds (t - s) * m * wpow[p + 1] to
+    # a word's code, and codes are unique, so the step (u, v) is a switch at
+    # p exactly when the codes differ by that; p is read off the difference
+    diff = wcodes[lv] - wcodes[lu]
+    e = np.searchsorted(wpow[::-1], np.abs(diff) // spec.m, side="right") - 1
+    p = np.clip(n_moves - 2 - e, 0, n_moves - 2)
+    flat = lu * n_moves + p
+    s, t = words.ravel()[flat], words.ravel()[flat + 1]
+    switch = diff == (t.astype(np.int64) - s) * (wpow[p] - wpow[p + 1])
+    if not bool(switch.all()):
+        bad = int(np.argmin(switch))
+        return f"the lattice step from word {int(lu[bad])} to {int(lv[bad])} is not a switch"
+    # switching maps the word set onto itself, so each switch is counted
+    # once from either end among unequal neighbouring symbols
+    unequal = int(np.count_nonzero(words[:, 1:] != words[:, :-1]))
+    if 2 * lu.size != unequal:
+        return f"{lu.size} lattice steps inside the image but {unequal // 2} word switches"
+    return np.sort(np.minimum(lu, lv) * total + np.maximum(lu, lv))
 
 
 def check_staircase(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -88,6 +89,21 @@ def test_lattice_point_validation_and_json():
         LatticePoint(spec, (1, 2, 1, 3, 1, 3, 0))
 
 
+@pytest.mark.parametrize("dims", [(1,), (4,), (2, 3), (1, 1, 1, 1), (2, 1, 3)])
+def test_grid_base_is_the_box_graph(dims):
+    points = list(itertools.product(*(range(n + 1) for n in dims)))
+    name = {p: "(" + ",".join(map(str, p)) + ")" for p in points}
+    edges = {
+        frozenset((name[p], name[q]))
+        for p, q in itertools.combinations(points, 2)
+        if sum(abs(a - b) for a, b in zip(p, q)) == 1
+    }
+    inst = grid_base(GridSpec(dims))
+    assert sorted(inst.graph.vertices) == sorted(name.values())
+    assert {frozenset(e) for e in inst.graph.edges} == edges
+    assert (inst.source, inst.target) == (name[(0,) * len(dims)], name[dims])
+
+
 def test_grid_base_instance():
     inst = grid_base(GridSpec((2, 2)))
     assert inst.graph.num_vertices == 9
@@ -169,6 +185,40 @@ def test_phi_batch_matches_the_scalar_map():
         assert tuple(row) == oracles.brute_phi(spec.dims, tuple(word))
     with pytest.raises(GraphError):
         phi_batch(spec, np.zeros((2, 3), dtype=np.uint8))
+
+
+def _compositions(total):
+    if total == 0:
+        yield ()
+        return
+    for head in range(1, total + 1):
+        for rest in _compositions(total - head):
+            yield (head,) + rest
+
+
+def test_phi_batch_matches_the_oracle_on_every_small_grid():
+    grids = [dims for n in range(1, 7) for dims in _compositions(n)] + [(1,) * 7]
+    for dims in grids:
+        spec = GridSpec(dims)
+        words = words_array(spec)
+        coords = phi_batch(spec, words)
+        assert coords.dtype == np.int16
+        assert coords.shape == (spec.word_count(), spec.embedding_dim)
+        expected = [oracles.brute_phi(dims, tuple(word)) for word in words.tolist()]
+        assert [tuple(row) for row in coords.tolist()] == expected, dims
+
+
+@pytest.mark.parametrize("dims", [(40000, 1), (300, 2), (2, 300, 1)])
+def test_phi_batch_widens_only_for_long_axes(dims):
+    # int16 unless an axis is 256 moves or longer, where the rule widens to int32
+    letters = [s for s, n in enumerate(dims, start=1) for _ in range(n)]
+    rng = random.Random(len(letters))
+    words = [letters, letters[::-1]] + [rng.sample(letters, len(letters)) for _ in range(3)]
+    coords = phi_batch(GridSpec(dims), np.array(words, dtype=np.uint8))
+    assert coords.dtype == np.int32
+    assert [tuple(row) for row in coords.tolist()] == [
+        oracles.brute_phi(dims, tuple(word)) for word in words
+    ]
 
 
 @pytest.mark.parametrize("dims", [(4,), (1, 1, 1, 1), (2, 1, 3)])

@@ -25,6 +25,7 @@ from spgraphs import (
     path_graph,
     star_graph,
 )
+from spgraphs.isomorphism import _canonical_code, _leaf_paths
 from spgraphs.verify import enumerate_graphs
 
 
@@ -132,6 +133,23 @@ def test_canonical_form_ignores_labels(g, rng):
 @given(strategies.graphs(max_vertices=6), strategies.graphs(max_vertices=6))
 def test_canonical_form_matches_permutation_scan(g1, g2):
     assert (canonical_form(g1) == canonical_form(g2)) == oracles.brute_isomorphic(g1, g2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(strategies.graphs(max_vertices=9))
+def test_canonical_code_matches_a_bit_by_bit_reference(g):
+    # each leaf's code, one bit at a time: the upper triangle of the
+    # adjacency matrix in the leaf's vertex order, row by row
+    bits = g.adjacency_bits
+    best = 0
+    for path in _leaf_paths(bits):
+        order = [cell.bit_length() - 1 for cell in path[-1]]
+        code = 0
+        for i, v in enumerate(order):
+            for w in order[i + 1 :]:
+                code = code << 1 | (bits[v] >> w & 1)
+        best = max(best, code)
+    assert _canonical_code(bits) == best
 
 
 @settings(max_examples=100, deadline=None)

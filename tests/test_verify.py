@@ -10,6 +10,7 @@ import hashlib
 import json
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from spgraphs import (
@@ -495,6 +496,79 @@ def test_grid_embedding_check(dims):
 def test_grid_embedding_check_respects_the_limit():
     with pytest.raises(GeodesicOverflowError):
         check_grid_embedding(GridSpec((3, 3)), limit=10)
+
+
+def _lower_one_coordinate(coords):
+    coords = coords.copy()
+    row, col = np.argwhere(coords > 0)[0]
+    coords[row, col] -= 1
+    return coords
+
+
+def _move_one_image(coords):
+    # in bounds, weakly decreasing and outside the image: word 4 loses its
+    # lattice steps and gains none
+    coords = coords.copy()
+    coords[4] = (0, 1, 1, 0, 0)
+    return coords
+
+
+def _swap_two_names(inst):
+    # the same graph up to relabelling, so only the names break the decoding
+    swap = {"(1,0,0)": "(0,0,1)", "(0,0,1)": "(1,0,0)"}
+    g = inst.graph
+    vertices = [swap.get(v, v) for v in g.vertices]
+    edges = [(swap.get(u, u), swap.get(v, v)) for u, v in g.edges]
+    return BaseInstance(Graph(vertices, edges), inst.source, inst.target)
+
+
+def _drop_an_edge(inst):
+    g = inst.graph
+    return BaseInstance(Graph(g.vertices, g.sorted_edges()[1:]), inst.source, inst.target)
+
+
+def _add_a_chord(inst):
+    g = inst.graph
+    edges = g.sorted_edges() + [("(0,0,0)", "(1,1,0)")]
+    return BaseInstance(Graph(g.vertices, edges), inst.source, inst.target)
+
+
+# the name in spgraphs.verify to damage, how to damage its result, and a
+# part of the witness of the check that catches it first
+GRID_DAMAGE = {
+    "words: duplicate a row": (
+        "words_array", lambda w: np.concatenate([w[:1], w]), "31 words listed, 30 expected"
+    ),
+    "words: swap two rows": (
+        "words_array", lambda w: w[[1, 0, *range(2, len(w))]], "not strictly lexicographic"
+    ),
+    "phi: two rows collide": (
+        "phi_batch", lambda c: np.concatenate([c[:1], c[:1], c[2:]]), "collides"
+    ),
+    "phi: lower one coordinate": ("phi_batch", _lower_one_coordinate, "collides"),
+    "phi: reverse the columns": ("phi_batch", lambda c: c[:, ::-1], "exceeds"),
+    "phi: swap two images": (
+        "phi_batch", lambda c: c[[1, 0, *range(2, len(c))]], "is not a switch"
+    ),
+    "phi: move one image": (
+        "phi_batch", _move_one_image, "45 lattice steps inside the image but 48 word switches"
+    ),
+    "grid: drop an edge": ("grid_base", _drop_an_edge, "18 geodesics but 30 words"),
+    "grid: add a chord": ("grid_base", _add_a_chord, "3 geodesics but 30 words"),
+    "grid: swap two names": ("grid_base", _swap_two_names, "not a unit step"),
+}
+
+
+@pytest.mark.parametrize("damage", GRID_DAMAGE)
+def test_grid_embedding_check_fails_on_damaged_input(monkeypatch, damage):
+    import spgraphs.verify
+
+    name, spoil, witness = GRID_DAMAGE[damage]
+    real = getattr(spgraphs.verify, name)
+    monkeypatch.setattr(spgraphs.verify, name, lambda *args: spoil(real(*args)))
+    report = check_grid_embedding(GridSpec((2, 1, 2)))
+    assert not report.passed
+    assert witness in report.witness
 
 
 def test_staircase_and_cayley_checks():
