@@ -50,6 +50,7 @@ from .grid import (
     LatticePoint,
     NotInImageError,
     cayley_adjacent_transpositions,
+    coord_name,
     enumerate_sequences,
     grid_base,
     parse_move_sequence,
@@ -234,7 +235,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         spec = _parse_dims(args.dims)
         ms = parse_move_sequence(spec, args.seq)
         point = phi(ms)
-        print("(" + ",".join(str(c) for c in point.coords) + ")")
+        print(coord_name(point.coords))
         return 0
     if sub == "unphi":
         spec = _parse_dims(args.dims)

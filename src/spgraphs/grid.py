@@ -142,30 +142,44 @@ class LatticePoint:
 # -- the grid instance ------------------------------------------------------
 
 
-def coord_name(coords: Sequence[int]) -> str:
+def coord_name(coords: Sequence[int | str]) -> str:
+    """``(c_1,...,c_k)``; ``grid_base`` passes its coordinates as padded digit strings."""
     return "(" + ",".join(str(c) for c in coords) + ")"
 
 
-def name_coords(name: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in name.strip("()").split(","))
+def place_values(radixes: Sequence[int]) -> np.ndarray:
+    """Mixed-radix place values as int64, last position fastest.
+
+    A row with digit c in 0..radixes[c]-1 packs into ``row @ place``, and
+    distinct rows pack to distinct values in lexicographic row order.
+    Raises GraphError when the packed range does not fit int64.
+    """
+    if math.prod(radixes) >= 2**63:
+        raise GraphError("mixed-radix range too wide to pack into one int64")
+    place = np.ones(len(radixes), dtype=np.int64)
+    for c in range(len(radixes) - 2, -1, -1):
+        place[c] = place[c + 1] * radixes[c + 1]
+    return place
 
 
 def grid_base(spec: GridSpec) -> BaseInstance:
     """The grid of paths as an instance: origin corner to opposite corner.
 
-    Vertices are numbered in mixed radix (n_i + 1, last axis fastest), so a
-    step along an axis adds its place value; each name is formatted once.
+    Each coordinate is zero-padded to the digit width of its own axis, so
+    names sort in mixed-radix order (n_i + 1, last axis fastest): a
+    vertex's rank among the sorted names is its id, and a step along an
+    axis adds that axis's place value to it. With every axis at most 9 the
+    names are plain, as in ``(1,0,2)``.
     """
-    ranges = [range(n + 1) for n in spec.dims]
-    names = [coord_name(c) for c in product(*ranges)]
+    digits = [[str(c).zfill(len(str(n))) for c in range(n + 1)] for n in spec.dims]
+    names = [coord_name(c) for c in product(*digits)]
     ids = np.arange(len(names)).reshape([n + 1 for n in spec.dims])
+    place = place_values([n + 1 for n in spec.dims]).tolist()
     edges = []
-    place = len(names)
     for axis, n in enumerate(spec.dims):
-        place //= n + 1
-        # every vertex but those on the axis's far face steps up by ``place``
+        # every vertex but those on the axis's far face steps up by its place
         low = ids.take(range(n), axis=axis).ravel().tolist()
-        edges += [(names[v], names[v + place]) for v in low]
+        edges += [(names[v], names[v + place[axis]]) for v in low]
     return BaseInstance(Graph(names, edges), names[0], names[-1])
 
 

@@ -54,8 +54,8 @@ from .grid import (
     coord_name,
     grid_base,
     MoveSequence,
-    name_coords,
     phi_batch,
+    place_values,
     staircase,
     tournament_of,
     words_array,
@@ -581,21 +581,6 @@ def run_corpus(
 # -- whole-family checks -------------------------------------------------------
 
 
-def _column_multipliers(radixes: list[int]) -> np.ndarray:
-    """Mixed-radix place values packing one row into one int64.
-
-    Column c holds values in 0..radixes[c]-1. Nine grid moves keep the
-    packed range under 2^63 (the widest case is 36 three-valued columns);
-    the product is checked anyway.
-    """
-    if math.prod(radixes) >= 2**62:
-        raise GraphError("embedding too wide to pack into one machine word")
-    mult = np.ones(len(radixes), dtype=np.int64)
-    for c in range(len(radixes) - 2, -1, -1):
-        mult[c] = mult[c + 1] * radixes[c + 1]
-    return mult
-
-
 def check_grid_embedding(
     spec: GridSpec, *, limit: int = DEFAULT_GEODESIC_LIMIT
 ) -> CheckReport:
@@ -607,7 +592,8 @@ def check_grid_embedding(
     Every lattice step is checked to be a switch, and there must be as many
     steps as switches, so the two sets are equal. Each geodesic is decoded
     step by step into its word, so the final comparison certifies an
-    isomorphism rather than searching for one.
+    isomorphism rather than searching for one. A grid whose words do not
+    pack into one int64 raises GraphError.
     """
     return _embed_grid(spec, limit)[0]
 
@@ -619,12 +605,16 @@ def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np
     for the arrays.
 
     The word list is checked to hold every word once, which the count of
-    switches rests on; each geodesic decodes to a word by its steps' axes.
+    switches rests on. Geodesic k decodes to word ``total - 1 - k``: the
+    grid's vertex ids are mixed radix, and geodesics come in increasing id
+    sequence, which is decreasing word order.
     """
     name = "grid-embedding-" + "x".join(str(n) for n in spec.dims)
     count = spec.word_count()
     if count > limit:
         raise GeodesicOverflowError(count, limit)
+    # each word packs in radix m over its symbols minus one
+    wpow = place_values([spec.m] * spec.total_moves)
     words = words_array(spec)
     total, n_moves = words.shape
     stats: dict[str, object] = {"words": total, "dimension": spec.embedding_dim}
@@ -637,8 +627,7 @@ def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np
         return fail(f"{total} words listed, {count} expected")
     if int(words.min()) < 1 or int(words.max()) > spec.m:
         return fail(f"a word has a symbol outside 1..{spec.m}")
-    wpow = (spec.m + 1) ** np.arange(n_moves - 1, -1, -1, dtype=np.int64)
-    wcodes = words.astype(np.int64) @ wpow
+    wcodes = (words.astype(np.int64) - 1) @ wpow
     if total > 1 and not bool(np.all(np.diff(wcodes) > 0)):
         return fail("word enumeration is not strictly lexicographic")
 
@@ -652,38 +641,34 @@ def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np
             return fail(f"coordinate ({i},{j},{k}) exceeds ({i},{j},{k - 1})")
 
     word_edges = _lattice_edges(spec, words, wcodes, wpow, coords)
-    del words
+    del wcodes
     if isinstance(word_edges, str):
         return fail(word_edges)
     stats["edges"] = int(word_edges.size)
 
-    # the shortest path graph side: geodesics as rows of vertex ids, each
-    # step decoded to its axis by the mixed-radix keys of its two ends
+    # the shortest path graph side, from the grid graph: a unit step along
+    # axis a adds place[a] to the vertex id, so geodesic k must step by the
+    # place values of word total - 1 - k. That map is a bijection whatever
+    # the ids mean, so equal edge sets certify the isomorphism.
     dag = build_dag(grid_base(spec))
     n_geodesics = guarded_count(dag, limit)
     if n_geodesics != total:
         return fail(f"{n_geodesics} geodesics but {total} words")
     matrix = geodesic_matrix(dag)
-    # a unit step along axis a adds place[a] to the key; keys stay below
-    # the vertex count, so they fit the int32 of the vertex ids
-    radix = [n + 1 for n in spec.dims]
-    place = np.array([math.prod(radix[a + 1 :]) for a in range(spec.m)], dtype=np.int32)
-    key = np.array([name_coords(v) for v in dag.names], dtype=np.int32) @ place
-    steps = np.diff(key[matrix], axis=1)
-    axis_of = np.zeros(int(place[0]) + 1, dtype=np.min_scalar_type(spec.m))
-    axis_of[place] = np.arange(spec.m)
-    axis = axis_of.take(steps, mode="clip")
-    if not np.array_equal(place[axis], steps):
-        return fail("a geodesic step is not a unit step along one axis")
-    geo_codes = (axis + 1) @ wpow
-    del key, steps, axis
-    rows = np.searchsorted(wcodes, geo_codes)
-    if bool(np.any(wcodes[np.minimum(rows, total - 1)] != geo_codes)):
-        return fail("a geodesic decodes to an unknown word")
-    if bool(np.any(np.bincount(rows, minlength=total) != 1)):
-        return fail("two geodesics decode to one word")
+    place = place_values([n + 1 for n in spec.dims]).astype(np.int32)
+    steps = np.diff(matrix, axis=1)
+    expected = place[words[::-1] - 1]
+    del words
+    if not np.array_equal(steps, expected):
+        odd = ~np.isin(steps, place).all(axis=1)
+        if bool(odd.any()):
+            k = int(np.argmax(odd))
+            return fail(f"geodesic {k} has a step that is not a unit step along one axis")
+        k = int(np.argmax((steps != expected).any(axis=1)))
+        return fail(f"geodesic {k} does not decode to word {total - 1 - k}")
+    del steps, expected
     se_u, se_w, _ = matrix_adjacency(matrix)
-    ru, rw = rows[se_u], rows[se_w]
+    ru, rw = total - 1 - se_u, total - 1 - se_w
     spg_edges = np.sort(np.minimum(ru, rw) * total + np.maximum(ru, rw))
     if not np.array_equal(spg_edges, word_edges):
         return fail("shortest path graph edges differ from word switches")
@@ -695,16 +680,16 @@ def _lattice_edges(
 ) -> np.ndarray | str:
     """The lattice steps inside the image, packed as ``_embed_grid``'s word
     edges once they are shown to be the switches, or a failure's witness.
-    ``words`` must be every word once, with increasing codes ``wcodes =
-    words @ wpow``, and ``coords`` their images, checked for bounds and
-    weakly decreasing in k."""
+    ``words`` must be every word once, with increasing radix-m codes
+    ``wcodes = (words - 1) @ wpow``, and ``coords`` their images, checked
+    for bounds and weakly decreasing in k."""
     if not spec.embedding_dim:
         # one axis: a single word, with no switches
         return np.empty(0, dtype=np.int64)
     total, n_moves = words.shape
     layout = spec.coordinate_layout()
     # one more than each column's widest query value (bound + 1)
-    mult = _column_multipliers([spec.dims[i - 1] + 2 for (i, j, k) in layout])
+    mult = place_values([spec.dims[i - 1] + 2 for (i, j, k) in layout])
     codes = coords.astype(np.int64) @ mult
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
@@ -728,11 +713,11 @@ def _lattice_edges(
         hit = sorted_codes[np.minimum(pos, total - 1)] == qcodes
         steps.append((order[at[hit]], order[pos[hit]]))
     lu, lv = (np.concatenate(ends) for ends in zip(*steps))
-    # switching symbols s, t at p, p + 1 adds (t - s) * m * wpow[p + 1] to
-    # a word's code, and codes are unique, so the step (u, v) is a switch at
-    # p exactly when the codes differ by that; p is read off the difference
+    # switching symbols s, t at p, p + 1 adds (t - s) * (m - 1) * wpow[p + 1]
+    # to a word's code, and codes are unique, so the step (u, v) is a switch
+    # at p exactly when the codes differ by that; p is read off the difference
     diff = wcodes[lv] - wcodes[lu]
-    e = np.searchsorted(wpow[::-1], np.abs(diff) // spec.m, side="right") - 1
+    e = np.searchsorted(wpow[::-1], np.abs(diff) // (spec.m - 1), side="right") - 1
     p = np.clip(n_moves - 2 - e, 0, n_moves - 2)
     flat = lu * n_moves + p
     s, t = words.ravel()[flat], words.ravel()[flat + 1]

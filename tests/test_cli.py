@@ -269,6 +269,16 @@ def test_grid_base_and_check(capsys):
     assert "staircase-2x2: pass" in out
 
 
+@pytest.mark.parametrize("dims, code", [("39,1", 0), ("400,2", 2)])
+def test_grid_check_on_long_axes(capsys, dims, code):
+    # 2^40 word codes fit int64; 2^402 do not, which is refused, not failed
+    got, out, err = _run(capsys, ["grid", "check", "--dims", dims])
+    assert got == code
+    assert "FAIL" not in out
+    if code == 2:
+        assert "too wide to pack" in err
+
+
 def test_grid_dims_validation(capsys):
     code, _, err = _run(capsys, ["grid", "enum", "--dims", "2,x"])
     assert code == 2

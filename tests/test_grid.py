@@ -16,6 +16,7 @@ from spgraphs import (
     MoveSequence,
     NotInImageError,
     TransitiveTournament,
+    build_dag,
     build_spg,
     cayley_adjacent_transpositions,
     cycle_graph,
@@ -89,10 +90,16 @@ def test_lattice_point_validation_and_json():
         LatticePoint(spec, (1, 2, 1, 3, 1, 3, 0))
 
 
-@pytest.mark.parametrize("dims", [(1,), (4,), (2, 3), (1, 1, 1, 1), (2, 1, 3)])
+@pytest.mark.parametrize(
+    "dims", [(1,), (4,), (2, 3), (1, 1, 1, 1), (2, 1, 3), (10, 1), (1, 12, 2)]
+)
 def test_grid_base_is_the_box_graph(dims):
+    # each coordinate is zero-padded to the digit width of its own axis
     points = list(itertools.product(*(range(n + 1) for n in dims)))
-    name = {p: "(" + ",".join(map(str, p)) + ")" for p in points}
+    name = {
+        p: "(" + ",".join(str(c).zfill(len(str(n))) for c, n in zip(p, dims)) + ")"
+        for p in points
+    }
     edges = {
         frozenset((name[p], name[q]))
         for p, q in itertools.combinations(points, 2)
@@ -102,6 +109,14 @@ def test_grid_base_is_the_box_graph(dims):
     assert sorted(inst.graph.vertices) == sorted(name.values())
     assert {frozenset(e) for e in inst.graph.edges} == edges
     assert (inst.source, inst.target) == (name[(0,) * len(dims)], name[dims])
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (10, 1), (1, 12, 2), (3, 10, 11)])
+def test_grid_dag_ranks_are_mixed_radix_ids(dims):
+    # the rank of (c_1, ..., c_m) among the DAG's names is its mixed-radix id
+    points = itertools.product(*(range(n + 1) for n in dims))
+    names = build_dag(grid_base(GridSpec(dims))).names
+    assert [tuple(map(int, v.strip("()").split(","))) for v in names] == list(points)
 
 
 def test_grid_base_instance():

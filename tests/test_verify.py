@@ -486,7 +486,9 @@ def test_corpus_table_shows_failures():
 # -- family checks ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (1, 1, 1), (2, 1, 2)])
+@pytest.mark.parametrize(
+    "dims", [(2, 2), (1, 1, 1), (2, 1, 2), (10, 2), (12, 1, 1), (39, 1), (1, 39), (30, 1, 1)]
+)
 def test_grid_embedding_check(dims):
     report = check_grid_embedding(GridSpec(dims))
     assert report.passed, report
@@ -496,6 +498,12 @@ def test_grid_embedding_check(dims):
 def test_grid_embedding_check_respects_the_limit():
     with pytest.raises(GeodesicOverflowError):
         check_grid_embedding(GridSpec((3, 3)), limit=10)
+
+
+def test_grid_embedding_check_refuses_words_too_long_to_pack():
+    # C(402, 2) words is far under the limit, but 2^402 codes leave int64
+    with pytest.raises(GraphError, match="too wide to pack"):
+        check_grid_embedding(GridSpec((400, 2)))
 
 
 def _lower_one_coordinate(coords):
@@ -556,6 +564,12 @@ GRID_DAMAGE = {
     "grid: drop an edge": ("grid_base", _drop_an_edge, "18 geodesics but 30 words"),
     "grid: add a chord": ("grid_base", _add_a_chord, "3 geodesics but 30 words"),
     "grid: swap two names": ("grid_base", _swap_two_names, "not a unit step"),
+    "geodesics: swap two rows": (
+        "geodesic_matrix", lambda g: g[[1, 0, *range(2, len(g))]], "geodesic 0 does not decode"
+    ),
+    "geodesics: reverse the rows": (
+        "geodesic_matrix", lambda g: g[::-1], "geodesic 0 does not decode to word 29"
+    ),
 }
 
 
