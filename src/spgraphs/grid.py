@@ -277,25 +277,35 @@ def phi_batch(spec: GridSpec, words: np.ndarray) -> np.ndarray:
     """Row-wise ``phi`` over a word array; returns int16 coordinates, or
     a wider type when some axis is longer than int16 can count.
 
-    Coordinate (i, j, k) is n_i minus the i's at or before the k-th j: one
-    running count per symbol i, read at the flat positions of each later j.
+    The result is the transpose of a C-order (coordinate, word) array, so
+    each coordinate column is contiguous. Coordinate (i, j, k) counts the
+    i positions after the position of the k-th j, one whole-column
+    comparison per pair of an i occurrence and a j occurrence.
     """
     count, n = words.shape
     if n != spec.total_moves:
         raise GraphError(f"word array has {n} columns, expected {spec.total_moves}")
     dtype = np.promote_types(np.int16, np.min_scalar_type(max(spec.dims)))
-    out = np.empty((count, spec.embedding_dim), dtype=dtype)
-    seen = [np.cumsum(words == i, axis=1, dtype=dtype).ravel() for i in range(1, spec.m)]
+    out = np.empty((spec.embedding_dim, count), dtype=dtype)
+    # every row holds exactly dims[s - 1] copies of s, so the flat indices of
+    # the hits split evenly into rows, in order; row q of pos[s - 1] holds the
+    # flat position of the (q + 1)-th s in every word
+    pos = [
+        np.flatnonzero(words == s).reshape(count, d).T.copy()
+        for s, d in enumerate(spec.dims, start=1)
+    ]
+    after = np.empty(count, dtype=bool)
     col = 0
     for j in range(2, spec.m + 1):
-        # every row holds exactly dims[j - 1] copies of j, so the flat indices
-        # of the hits split evenly into rows, in order
-        where = np.flatnonzero(words == j).reshape(count, spec.dims[j - 1])
         for i in range(1, j):
-            block = out[:, col : col + spec.dims[j - 1]]
-            np.subtract(spec.dims[i - 1], seen[i - 1][where], out=block)
-            col += spec.dims[j - 1]
-    return out
+            for at_j in pos[j - 1]:
+                row = out[col]
+                row[:] = 0
+                for at_i in pos[i - 1]:
+                    np.greater(at_i, at_j, out=after)
+                    row += after
+                col += 1
+    return out.T
 
 
 # -- staircases, permutations, tournaments -----------------------------------

@@ -631,17 +631,27 @@ def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np
     if total > 1 and not bool(np.all(np.diff(wcodes) > 0)):
         return fail("word enumeration is not strictly lexicographic")
 
-    # image constraints: bounds per pair, weakly decreasing within a pair
+    # image constraints: bounds per pair, weakly decreasing within a pair;
+    # the first failing coordinate in layout order is the witness
     layout = spec.coordinate_layout()
-    for c, (i, j, k) in enumerate(layout):
-        col = coords[:, c]
-        if int(col.min()) < 0 or int(col.max()) > spec.dims[i - 1]:
+    cols = np.ascontiguousarray(coords.T)
+    bound = np.array([spec.dims[i - 1] for (i, j, k) in layout], dtype=np.int64)
+    leaves = (cols.min(axis=1) < 0) | (cols.max(axis=1) > bound)
+    first = np.array([k == 1 for (i, j, k) in layout], dtype=bool)
+    exceeds = np.zeros_like(leaves)
+    if not first.all():
+        exceeds[1:] = (cols[1:] > cols[:-1]).any(axis=1)
+        exceeds &= ~first
+    bad = leaves | exceeds
+    if bool(bad.any()):
+        c = int(np.argmax(bad))
+        i, j, k = layout[c]
+        if leaves[c]:
             return fail(f"coordinate ({i},{j},{k}) leaves 0..{spec.dims[i - 1]}")
-        if k > 1 and bool(np.any(col > coords[:, c - 1])):
-            return fail(f"coordinate ({i},{j},{k}) exceeds ({i},{j},{k - 1})")
+        return fail(f"coordinate ({i},{j},{k}) exceeds ({i},{j},{k - 1})")
 
-    word_edges = _lattice_edges(spec, words, wcodes, wpow, coords)
-    del wcodes
+    word_edges = _lattice_edges(spec, words, wcodes, wpow, cols)
+    del cols, wcodes
     if isinstance(word_edges, str):
         return fail(word_edges)
     stats["edges"] = int(word_edges.size)
@@ -676,13 +686,13 @@ def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np
 
 
 def _lattice_edges(
-    spec: GridSpec, words: np.ndarray, wcodes: np.ndarray, wpow: np.ndarray, coords: np.ndarray
+    spec: GridSpec, words: np.ndarray, wcodes: np.ndarray, wpow: np.ndarray, cols: np.ndarray
 ) -> np.ndarray | str:
     """The lattice steps inside the image, packed as ``_embed_grid``'s word
     edges once they are shown to be the switches, or a failure's witness.
     ``words`` must be every word once, with increasing radix-m codes
-    ``wcodes = (words - 1) @ wpow``, and ``coords`` their images, checked
-    for bounds and weakly decreasing in k."""
+    ``wcodes = (words - 1) @ wpow``, and ``cols`` their images one
+    coordinate per row, checked for bounds and weakly decreasing in k."""
     if not spec.embedding_dim:
         # one axis: a single word, with no switches
         return np.empty(0, dtype=np.int64)
@@ -690,22 +700,26 @@ def _lattice_edges(
     layout = spec.coordinate_layout()
     # one more than each column's widest query value (bound + 1)
     mult = place_values([spec.dims[i - 1] + 2 for (i, j, k) in layout])
-    codes = coords.astype(np.int64) @ mult
+    codes = np.zeros(total, dtype=np.int64)
+    for col, place in zip(cols, mult):
+        codes += col * place
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
+    del codes
     dup = sorted_codes[1:] == sorted_codes[:-1]
     if bool(dup.any()):
         r = int(np.nonzero(dup)[0][0])
         return f"embedding collides on words {int(order[r])} and {int(order[r + 1])}"
     # query from the lower end of each step only the points that can rise:
     # below the bound and, for k > 1, below coordinate k - 1
-    ordered = coords[order]
     steps: list[tuple[np.ndarray, np.ndarray]] = []
+    prev = None
     for c, (i, j, k) in enumerate(layout):
-        col = ordered[:, c]
+        col = cols[c][order]
         rise = col < spec.dims[i - 1]
         if k > 1:
-            rise &= col < ordered[:, c - 1]
+            rise &= col < prev
+        prev = col
         # queries in sorted order keep the binary searches cache-local
         at = np.flatnonzero(rise)
         qcodes = sorted_codes[at] + mult[c]

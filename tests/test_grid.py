@@ -196,8 +196,16 @@ def test_phi_batch_matches_the_scalar_map():
     assert words.shape == (spec.word_count(), spec.total_moves)
     coords = phi_batch(spec, words)
     assert coords.shape == (spec.word_count(), spec.embedding_dim)
+    # one contiguous array per coordinate
+    assert coords.T.flags.c_contiguous
     for row, word in zip(coords.tolist(), words.tolist()):
         assert tuple(row) == oracles.brute_phi(spec.dims, tuple(word))
+    # the layout of the input does not matter: reversed rows, Fortran order
+    for other in (words[::-1], np.asfortranarray(words)):
+        coords = phi_batch(spec, other)
+        assert [tuple(row) for row in coords.tolist()] == [
+            oracles.brute_phi(spec.dims, tuple(word)) for word in other.tolist()
+        ]
     with pytest.raises(GraphError):
         phi_batch(spec, np.zeros((2, 3), dtype=np.uint8))
 

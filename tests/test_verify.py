@@ -521,6 +521,23 @@ def _move_one_image(coords):
     return coords
 
 
+def _push_past_the_bound(coords):
+    # (1,2,1) counts the 1's after the only 2: at most n_1 = 2
+    coords = coords.copy()
+    coords[0, 0] = 3
+    return coords
+
+
+def _break_two_columns(coords):
+    # word 0 takes (2,3,2) past n_2 = 1 and word 1 raises (1,3,2) over
+    # (1,3,1): the earlier coordinate of the layout is the witness, not the
+    # earlier word
+    coords = coords.copy()
+    coords[0, 4] = 2
+    coords[1, 2] = coords[1, 1] + 1
+    return coords
+
+
 def _swap_two_names(inst):
     # the same graph up to relabelling, so only the names break the decoding
     swap = {"(1,0,0)": "(0,0,1)", "(0,0,1)": "(1,0,0)"}
@@ -555,6 +572,12 @@ GRID_DAMAGE = {
     ),
     "phi: lower one coordinate": ("phi_batch", _lower_one_coordinate, "collides"),
     "phi: reverse the columns": ("phi_batch", lambda c: c[:, ::-1], "exceeds"),
+    "phi: push past the bound": (
+        "phi_batch", _push_past_the_bound, "coordinate (1,2,1) leaves 0..2"
+    ),
+    "phi: break an earlier and a later column": (
+        "phi_batch", _break_two_columns, "coordinate (1,3,2) exceeds (1,3,1)"
+    ),
     "phi: swap two images": (
         "phi_batch", lambda c: c[[1, 0, *range(2, len(c))]], "is not a switch"
     ),
