@@ -112,8 +112,8 @@ def parse_move_sequence(spec: GridSpec, text: str) -> MoveSequence:
 class LatticePoint:
     """An integer vector in the embedding space of one grid spec.
 
-    Construction checks the necessary image conditions: bounds
-    0 <= a_ijk <= n_i and, for fixed i and j, weakly decreasing in k.
+    Construction checks the necessary image conditions with
+    ``image_violation`` and raises GraphError with its witness.
     Membership in the image is only decided by ``phi_inverse``.
     """
 
@@ -122,21 +122,43 @@ class LatticePoint:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        layout = self.spec.coordinate_layout()
-        if len(self.coords) != len(layout):
+        if len(self.coords) != self.spec.embedding_dim:
             raise GraphError(
-                f"expected {len(layout)} coordinates, got {len(self.coords)}"
+                f"expected {self.spec.embedding_dim} coordinates, got {len(self.coords)}"
             )
-        prev: dict[tuple[int, int], int] = {}
-        for value, (i, j, k) in zip(self.coords, layout):
-            n_i = self.spec.dims[i - 1]
-            if not 0 <= value <= n_i:
-                raise GraphError(f"coordinate a[{i},{j},{k}]={value} outside 0..{n_i}")
-            if (i, j) in prev and value > prev[(i, j)]:
-                raise GraphError(
-                    f"coordinate a[{i},{j},{k}]={value} exceeds a[{i},{j},{k - 1}]"
-                )
-            prev[(i, j)] = value
+        # clamped into int64: the conditions read nothing outside -1..n + 1
+        top = max(self.spec.dims) + 1
+        col = np.array([min(max(c, -1), top) for c in self.coords], dtype=np.int64)
+        witness = image_violation(self.spec, col.reshape(-1, 1))
+        if witness is not None:
+            raise GraphError(witness)
+
+
+def image_violation(spec: GridSpec, cols: np.ndarray) -> str | None:
+    """The first coordinate, in layout order, where a point breaks a
+    necessary image condition, or None when every point meets them.
+
+    ``cols`` holds one row per coordinate and one column per point. The
+    conditions are the bounds 0 <= a_ijk <= n_i and, for fixed i and j,
+    weakly decreasing in k; a coordinate that breaks both is reported as
+    out of bounds.
+    """
+    layout = spec.coordinate_layout()
+    bound = np.array([spec.dims[i - 1] for (i, j, k) in layout], dtype=np.int64)
+    leaves = (cols.min(axis=1) < 0) | (cols.max(axis=1) > bound)
+    first = np.array([k == 1 for (i, j, k) in layout], dtype=bool)
+    exceeds = np.zeros_like(leaves)
+    if not first.all():
+        exceeds[1:] = (cols[1:] > cols[:-1]).any(axis=1)
+        exceeds &= ~first
+    bad = leaves | exceeds
+    if not bool(bad.any()):
+        return None
+    c = int(np.argmax(bad))
+    i, j, k = layout[c]
+    if leaves[c]:
+        return f"coordinate ({i},{j},{k}) leaves 0..{spec.dims[i - 1]}"
+    return f"coordinate ({i},{j},{k}) exceeds ({i},{j},{k - 1})"
 
 
 # -- the grid instance ------------------------------------------------------
@@ -280,20 +302,32 @@ def phi_batch(spec: GridSpec, words: np.ndarray) -> np.ndarray:
     The result is the transpose of a C-order (coordinate, word) array, so
     each coordinate column is contiguous. Coordinate (i, j, k) counts the
     i positions after the position of the k-th j, one whole-column
-    comparison per pair of an i occurrence and a j occurrence.
+    comparison per pair of an i occurrence and a j occurrence. A row
+    without the symbol counts of a word raises GraphError naming it.
     """
     count, n = words.shape
     if n != spec.total_moves:
         raise GraphError(f"word array has {n} columns, expected {spec.total_moves}")
     dtype = np.promote_types(np.int16, np.min_scalar_type(max(spec.dims)))
     out = np.empty((spec.embedding_dim, count), dtype=dtype)
-    # every row holds exactly dims[s - 1] copies of s, so the flat indices of
-    # the hits split evenly into rows, in order; row q of pos[s - 1] holds the
-    # flat position of the (q + 1)-th s in every word
-    pos = [
-        np.flatnonzero(words == s).reshape(count, d).T.copy()
-        for s, d in enumerate(spec.dims, start=1)
-    ]
+    # split the flat indices of the hits of s into blocks of d = dims[s - 1],
+    # in order: every word holds exactly d copies of s when there are
+    # count * d hits and the first and last hit of block q lie in word q.
+    # Row r of pos[s - 1] then holds the position of the (r + 1)-th s in
+    # every word
+    start = np.arange(count) * n
+    pos = []
+    for s, d in enumerate(spec.dims, start=1):
+        hits = np.flatnonzero(words == s)
+        if hits.size != count * d or not (
+            (hits[::d] >= start) & (hits[d - 1 :: d] < start + n)
+        ).all():
+            counts = np.stack(
+                [np.count_nonzero(words == t, axis=1) for t in range(1, spec.m + 1)], axis=1
+            )
+            q = int(np.argmax((counts != spec.dims).any(axis=1)))
+            raise GraphError(f"word {q} does not have symbol counts {spec.dims}")
+        pos.append(hits.reshape(count, d).T.copy())
     after = np.empty(count, dtype=bool)
     col = 0
     for j in range(2, spec.m + 1):

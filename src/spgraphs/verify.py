@@ -53,6 +53,7 @@ from .grid import (
     cayley_adjacent_transpositions,
     coord_name,
     grid_base,
+    image_violation,
     MoveSequence,
     phi_batch,
     place_values,
@@ -592,8 +593,9 @@ def check_grid_embedding(
     Every lattice step is checked to be a switch, and there must be as many
     steps as switches, so the two sets are equal. Each geodesic is decoded
     step by step into its word, so the final comparison certifies an
-    isomorphism rather than searching for one. A grid whose words do not
-    pack into one int64 raises GraphError.
+    isomorphism rather than searching for one. A grid whose lattice points
+    do not pack into one int64 (radix n_i + 1 per coordinate) raises
+    GraphError.
     """
     return _embed_grid(spec, limit)[0]
 
@@ -613,11 +615,10 @@ def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np
     count = spec.word_count()
     if count > limit:
         raise GeodesicOverflowError(count, limit)
-    # each word packs in radix m over its symbols minus one
-    wpow = place_values([spec.m] * spec.total_moves)
     words = words_array(spec)
     total, n_moves = words.shape
     stats: dict[str, object] = {"words": total, "dimension": spec.embedding_dim}
+    # every row has the symbol counts of a word, or phi_batch raises
     coords = phi_batch(spec, words)
 
     def fail(witness: str) -> tuple[CheckReport, np.ndarray, np.ndarray]:
@@ -625,33 +626,18 @@ def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np
 
     if total != count:
         return fail(f"{total} words listed, {count} expected")
-    if int(words.min()) < 1 or int(words.max()) > spec.m:
-        return fail(f"a word has a symbol outside 1..{spec.m}")
-    wcodes = (words.astype(np.int64) - 1) @ wpow
-    if total > 1 and not bool(np.all(np.diff(wcodes) > 0)):
+    # uint8 rows as byte strings order lexicographically
+    keys = np.ascontiguousarray(words).view(f"S{n_moves}").ravel()
+    if not bool(np.all(keys[1:] > keys[:-1])):
         return fail("word enumeration is not strictly lexicographic")
+    del keys  # a view: it would keep the words alive past the decode
 
-    # image constraints: bounds per pair, weakly decreasing within a pair;
-    # the first failing coordinate in layout order is the witness
-    layout = spec.coordinate_layout()
     cols = np.ascontiguousarray(coords.T)
-    bound = np.array([spec.dims[i - 1] for (i, j, k) in layout], dtype=np.int64)
-    leaves = (cols.min(axis=1) < 0) | (cols.max(axis=1) > bound)
-    first = np.array([k == 1 for (i, j, k) in layout], dtype=bool)
-    exceeds = np.zeros_like(leaves)
-    if not first.all():
-        exceeds[1:] = (cols[1:] > cols[:-1]).any(axis=1)
-        exceeds &= ~first
-    bad = leaves | exceeds
-    if bool(bad.any()):
-        c = int(np.argmax(bad))
-        i, j, k = layout[c]
-        if leaves[c]:
-            return fail(f"coordinate ({i},{j},{k}) leaves 0..{spec.dims[i - 1]}")
-        return fail(f"coordinate ({i},{j},{k}) exceeds ({i},{j},{k - 1})")
-
-    word_edges = _lattice_edges(spec, words, wcodes, wpow, cols)
-    del cols, wcodes
+    witness = image_violation(spec, cols)
+    if witness is not None:
+        return fail(witness)
+    word_edges = _lattice_edges(spec, words, cols)
+    del cols
     if isinstance(word_edges, str):
         return fail(word_edges)
     stats["edges"] = int(word_edges.size)
@@ -685,21 +671,19 @@ def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np
     return CheckReport(name, True, None, stats), coords, word_edges
 
 
-def _lattice_edges(
-    spec: GridSpec, words: np.ndarray, wcodes: np.ndarray, wpow: np.ndarray, cols: np.ndarray
-) -> np.ndarray | str:
+def _lattice_edges(spec: GridSpec, words: np.ndarray, cols: np.ndarray) -> np.ndarray | str:
     """The lattice steps inside the image, packed as ``_embed_grid``'s word
     edges once they are shown to be the switches, or a failure's witness.
-    ``words`` must be every word once, with increasing radix-m codes
-    ``wcodes = (words - 1) @ wpow``, and ``cols`` their images one
-    coordinate per row, checked for bounds and weakly decreasing in k."""
+    ``words`` must be every word once, each with a word's symbol counts,
+    and ``cols`` their images one coordinate per row, meeting the
+    conditions of ``image_violation``."""
     if not spec.embedding_dim:
         # one axis: a single word, with no switches
         return np.empty(0, dtype=np.int64)
-    total, n_moves = words.shape
+    total = len(words)
     layout = spec.coordinate_layout()
-    # one more than each column's widest query value (bound + 1)
-    mult = place_values([spec.dims[i - 1] + 2 for (i, j, k) in layout])
+    # coordinate (i, j, k) lies in 0..n_i, so radix n_i + 1 packs a point
+    mult = place_values([spec.dims[i - 1] + 1 for (i, j, k) in layout])
     codes = np.zeros(total, dtype=np.int64)
     for col, place in zip(cols, mult):
         codes += col * place
@@ -711,7 +695,8 @@ def _lattice_edges(
         r = int(np.nonzero(dup)[0][0])
         return f"embedding collides on words {int(order[r])} and {int(order[r + 1])}"
     # query from the lower end of each step only the points that can rise:
-    # below the bound and, for k > 1, below coordinate k - 1
+    # below the bound, so the raised coordinate carries into no other, and,
+    # for k > 1, below coordinate k - 1
     steps: list[tuple[np.ndarray, np.ndarray]] = []
     prev = None
     for c, (i, j, k) in enumerate(layout):
@@ -727,21 +712,27 @@ def _lattice_edges(
         hit = sorted_codes[np.minimum(pos, total - 1)] == qcodes
         steps.append((order[at[hit]], order[pos[hit]]))
     lu, lv = (np.concatenate(ends) for ends in zip(*steps))
-    # switching symbols s, t at p, p + 1 adds (t - s) * (m - 1) * wpow[p + 1]
-    # to a word's code, and codes are unique, so the step (u, v) is a switch
-    # at p exactly when the codes differ by that; p is read off the difference
-    diff = wcodes[lv] - wcodes[lu]
-    e = np.searchsorted(wpow[::-1], np.abs(diff) // (spec.m - 1), side="right") - 1
-    p = np.clip(n_moves - 2 - e, 0, n_moves - 2)
-    flat = lu * n_moves + p
-    s, t = words.ravel()[flat], words.ravel()[flat + 1]
-    switch = diff == (t.astype(np.int64) - s) * (wpow[p] - wpow[p + 1])
+    # a step is a switch when its two words differ in exactly two positions
+    # and those are adjacent: with equal symbol counts, the two symbols there
+    # are swapped. Read one contiguous word column at a time
+    wcols = np.ascontiguousarray(words.T)
+    # a uint8 count could wrap back to 2 on a row of 258 or more moves
+    differ = np.zeros(lu.size, dtype=np.int32)
+    adjacent = np.zeros(lu.size, dtype=bool)
+    before = None
+    for col in wcols:
+        here = col[lu] != col[lv]
+        differ += here
+        if before is not None:
+            adjacent |= before & here
+        before = here
+    switch = (differ == 2) & adjacent
     if not bool(switch.all()):
         bad = int(np.argmin(switch))
         return f"the lattice step from word {int(lu[bad])} to {int(lv[bad])} is not a switch"
     # switching maps the word set onto itself, so each switch is counted
     # once from either end among unequal neighbouring symbols
-    unequal = int(np.count_nonzero(words[:, 1:] != words[:, :-1]))
+    unequal = int(np.count_nonzero(wcols[1:] != wcols[:-1]))
     if 2 * lu.size != unequal:
         return f"{lu.size} lattice steps inside the image but {unequal // 2} word switches"
     return np.sort(np.minimum(lu, lv) * total + np.maximum(lu, lv))

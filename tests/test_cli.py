@@ -269,13 +269,18 @@ def test_grid_base_and_check(capsys):
     assert "staircase-2x2: pass" in out
 
 
-@pytest.mark.parametrize("dims, code", [("39,1", 0), ("400,2", 2)])
+@pytest.mark.parametrize(
+    "dims, code", [("39,1", 0), ("63,1", 0), ("62,2", 0), ("1,40", 0), ("1,63", 2)]
+)
 def test_grid_check_on_long_axes(capsys, dims, code):
-    # 2^40 word codes fit int64; 2^402 do not, which is refused, not failed
+    # lattice codes in radix n_i + 1 fit int64 up to 2^40 on 1,40; the 2^63
+    # of 1,63 do not, which is refused, not failed
     got, out, err = _run(capsys, ["grid", "check", "--dims", dims])
     assert got == code
     assert "FAIL" not in out
-    if code == 2:
+    if code == 0:
+        assert f"grid-embedding-{dims.replace(',', 'x')}: pass" in out
+    else:
         assert "too wide to pack" in err
 
 

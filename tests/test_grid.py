@@ -84,10 +84,14 @@ def test_lattice_point_validation_and_json():
     assert point.coords == (3, 2, 1, 3, 1, 3, 0)
     with pytest.raises(GraphError, match="expected 7"):
         LatticePoint(spec, (0, 0))
-    with pytest.raises(GraphError, match="outside"):
+    # the witness texts of the grid check, which runs the same test
+    with pytest.raises(GraphError, match=r"coordinate \(1,2,1\) leaves 0\.\.3"):
         LatticePoint(spec, (4, 2, 1, 3, 1, 3, 0))
-    with pytest.raises(GraphError, match="exceeds"):
+    with pytest.raises(GraphError, match=r"coordinate \(1,2,2\) exceeds \(1,2,1\)"):
         LatticePoint(spec, (1, 2, 1, 3, 1, 3, 0))
+    # far outside int64, still a witness rather than an overflow
+    with pytest.raises(GraphError, match=r"coordinate \(1,2,1\) leaves"):
+        LatticePoint(spec, (-(10**30), 2, 1, 3, 1, 3, 0))
 
 
 @pytest.mark.parametrize(
@@ -208,6 +212,22 @@ def test_phi_batch_matches_the_scalar_map():
         ]
     with pytest.raises(GraphError):
         phi_batch(spec, np.zeros((2, 3), dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "rows, first",
+    [
+        ([[1, 1, 1]], 0),
+        # word 0 has no 2; word 1 the counts of 2,1 instead of 1,2
+        ([[1, 1, 1], [2, 2, 1]], 0),
+        ([[1, 2, 1], [1, 1, 2], [2, 1, 1], [3, 1, 1]], 3),
+        # a surplus in one word and a shortage in the next
+        ([[1, 2, 1], [1, 1, 1], [2, 2, 1]], 1),
+    ],
+)
+def test_phi_batch_names_the_first_row_that_is_not_a_word(rows, first):
+    with pytest.raises(GraphError, match=rf"word {first} does not have symbol counts \(2, 1\)"):
+        phi_batch(GridSpec((2, 1)), np.array(rows))
 
 
 def _compositions(total):

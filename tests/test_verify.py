@@ -487,7 +487,14 @@ def test_corpus_table_shows_failures():
 
 
 @pytest.mark.parametrize(
-    "dims", [(2, 2), (1, 1, 1), (2, 1, 2), (10, 2), (12, 1, 1), (39, 1), (1, 39), (30, 1, 1)]
+    "dims",
+    [
+        (2, 2), (1, 1, 1), (2, 1, 2), (10, 2), (12, 1, 1), (39, 1), (1, 39), (30, 1, 1),
+        # 64^63 and 3^64 radix-m word codes would leave int64; words are rows
+        (63, 1), (62, 2),
+        # 2^40 lattice codes in radix n_i + 1
+        (1, 40),
+    ],
 )
 def test_grid_embedding_check(dims):
     report = check_grid_embedding(GridSpec(dims))
@@ -500,10 +507,10 @@ def test_grid_embedding_check_respects_the_limit():
         check_grid_embedding(GridSpec((3, 3)), limit=10)
 
 
-def test_grid_embedding_check_refuses_words_too_long_to_pack():
-    # C(402, 2) words is far under the limit, but 2^402 codes leave int64
+def test_grid_embedding_check_refuses_lattice_points_too_wide_to_pack():
+    # 64 words is far under the limit, but 63 coordinates in 0..1 need 2^63 codes
     with pytest.raises(GraphError, match="too wide to pack"):
-        check_grid_embedding(GridSpec((400, 2)))
+        check_grid_embedding(GridSpec((1, 63)))
 
 
 def _lower_one_coordinate(coords):
@@ -518,6 +525,14 @@ def _move_one_image(coords):
     # lattice steps and gains none
     coords = coords.copy()
     coords[4] = (0, 1, 1, 0, 0)
+    return coords
+
+
+def _move_image_next_to_a_far_swap(coords):
+    # word 0 (11233) takes a point one step below the image of word 8
+    # (13213): the two rows differ in exactly two positions, not adjacent
+    coords = coords.copy()
+    coords[0] = (1, 0, 0, 1, 0)
     return coords
 
 
@@ -567,6 +582,9 @@ GRID_DAMAGE = {
     "words: swap two rows": (
         "words_array", lambda w: w[[1, 0, *range(2, len(w))]], "not strictly lexicographic"
     ),
+    "words: repeat a row over the next": (
+        "words_array", lambda w: w[[0, 0, *range(2, len(w))]], "not strictly lexicographic"
+    ),
     "phi: two rows collide": (
         "phi_batch", lambda c: np.concatenate([c[:1], c[:1], c[2:]]), "collides"
     ),
@@ -580,6 +598,18 @@ GRID_DAMAGE = {
     ),
     "phi: swap two images": (
         "phi_batch", lambda c: c[[1, 0, *range(2, len(c))]], "is not a switch"
+    ),
+    "phi: swap images three positions apart": (
+        # word 2 (11332) lands one step from word 3 (12133): three positions
+        # differ, two of them adjacent
+        "phi_batch",
+        lambda c: c[[2, 1, 0, *range(3, len(c))]],
+        "the lattice step from word 2 to 3 is not a switch",
+    ),
+    "phi: move an image next to a far swap": (
+        "phi_batch",
+        _move_image_next_to_a_far_swap,
+        "the lattice step from word 0 to 8 is not a switch",
     ),
     "phi: move one image": (
         "phi_batch", _move_one_image, "45 lattice steps inside the image but 48 word switches"
