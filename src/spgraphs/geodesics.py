@@ -5,7 +5,8 @@ An edge (u, v) lies on a shortest source,target-path exactly when
 ``dist(source, u) + 1 + dist(v, target) == dist(source, target)``. Orienting
 every such edge away from the source yields a DAG whose source-to-target
 paths are precisely the geodesics. Counting walks over that DAG with exact
-integers gives the geodesic count without materializing any path.
+integers gives the geodesic count, and the edge count of the shortest path
+graph, without materializing any path.
 
 The on-geodesic vertices at one distance from the source form a layer,
 and every geodesic passes through each layer once. An edge lies on every
@@ -217,6 +218,51 @@ def geodesic_matrix(dag: GeodesicDag) -> np.ndarray:
         matrix[:, col] = vertex[rows]
         rows = parent[rows]
     return matrix
+
+
+def count_spg_edges(dag: GeodesicDag) -> int:
+    """Exact number of edges of the shortest path graph, without listing
+    any geodesic.
+
+    Two geodesics are adjacent when they differ in one position only. Then
+    they share the vertex y before it and the vertex u after it, and pass
+    through two of the m(y, u) middle vertices of the two-step paths
+    y -> x -> u. With P_a(y) geodesic prefixes from the source to y and
+    P_b(u) suffixes from u to the target, the edge count is the sum of
+
+        C(m(y, u), 2) * P_a(y) * P_b(u)
+
+    over the pairs (y, u) joined by a two-step path of the DAG; each edge
+    is counted once, at its one differing position. The multiplicities m
+    come from the integer ``csr``; the sum is taken in Python integers, so
+    it is exact at any geodesic count.
+
+    >>> from .graphs import complete_bipartite_graph
+    >>> count_spg_edges(build_dag(BaseInstance(complete_bipartite_graph(2, 3), "a0", "a1")))
+    3
+    """
+    indptr, indices = dag.csr
+    n = len(dag.names)
+    # every two-step path y -> x -> u, as the pair key y * n + u
+    y = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    degree = indptr[indices + 1] - indptr[indices]
+    start = np.repeat(indptr[indices], degree)
+    offset = np.arange(start.size) - np.repeat(np.cumsum(degree) - degree, degree)
+    key = np.repeat(y, degree) * n + indices[start + offset]
+    pairs, middles = np.unique(key, return_counts=True)
+    shared = middles > 1
+    succ = [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(n)]
+    order = sorted(range(n), key=lambda v: dag.dist_from_source[dag.names[v]])
+    prefixes = [0] * n
+    prefixes[dag.names.index(dag.instance.source)] = 1
+    for v in order:
+        for w in succ[v]:
+            prefixes[w] += prefixes[v]
+    ways = paths_to_target(dag)
+    return sum(
+        math.comb(m, 2) * prefixes[ends // n] * ways[dag.names[ends % n]]
+        for ends, m in zip(pairs[shared].tolist(), middles[shared].tolist())
+    )
 
 
 def _forced_runs(dag: GeodesicDag) -> Iterator[list[str]]:

@@ -35,6 +35,7 @@ from .geodesics import (
     DEFAULT_GEODESIC_LIMIT,
     GeodesicOverflowError,
     build_dag,
+    count_spg_edges,
     geodesic_matrix,
     guarded_count,
 )
@@ -69,7 +70,6 @@ from .spg import (
     build_spg,
     decompose_at_index,
     difference_positions,
-    matrix_adjacency,
 )
 
 
@@ -587,29 +587,37 @@ def check_grid_embedding(
 ) -> CheckReport:
     """End-to-end check of one grid: ``phi`` is injective and meets the
     image constraints, the lattice steps inside its image are exactly the
-    word switches, and the grid's shortest path graph is the word graph
-    edge for edge.
+    word switches, and they are exactly the edges of the grid's shortest
+    path graph.
 
     Every lattice step is checked to be a switch, and there must be as many
     steps as switches, so the two sets are equal. Each geodesic is decoded
-    step by step into its word, so the final comparison certifies an
-    isomorphism rather than searching for one. A grid whose lattice points
-    do not pack into one int64 (radix n_i + 1 per coordinate) raises
-    GraphError.
+    step by step into its word, which makes geodesics and words correspond
+    one to one. The geodesics of the two ends of every lattice step must
+    differ in exactly one vertex, so every step is a shortest path graph
+    edge; and the grid's DAG must count as many shortest path graph edges
+    as there are steps. The steps are distinct pairs, so they are all the
+    edges: the correspondence is an isomorphism, certified rather than
+    searched for. A grid whose lattice points do not pack into one int64
+    (radix n_i + 1 per coordinate) raises GraphError.
     """
     return _embed_grid(spec, limit)[0]
 
 
-def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np.ndarray]:
+def _embed_grid(
+    spec: GridSpec, limit: int
+) -> tuple[CheckReport, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The body of ``check_grid_embedding``: its report, the ``phi``
-    coordinates of the lexicographic words, and the word edges packed as
-    ``u * words + v`` with ``u < v``, sorted. Only a passing report vouches
-    for the arrays.
+    coordinates of the lexicographic words, and the word edges as two
+    arrays of word numbers, one pair per lattice step. Only a passing
+    report vouches for the arrays.
 
     The word list is checked to hold every word once, which the count of
     switches rests on. Geodesic k decodes to word ``total - 1 - k``: the
     grid's vertex ids are mixed radix, and geodesics come in increasing id
-    sequence, which is decreasing word order.
+    sequence, which is decreasing word order. Every fact about the shortest
+    path graph comes from the grid graph (its geodesics and its DAG); the
+    words only propose which pairs to test.
     """
     name = "grid-embedding-" + "x".join(str(n) for n in spec.dims)
     count = spec.word_count()
@@ -621,8 +629,9 @@ def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np
     # every row has the symbol counts of a word, or phi_batch raises
     coords = phi_batch(spec, words)
 
-    def fail(witness: str) -> tuple[CheckReport, np.ndarray, np.ndarray]:
-        return CheckReport(name, False, witness, stats), coords, np.empty(0, dtype=np.int64)
+    def fail(witness: str) -> tuple[CheckReport, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        no_edges = np.empty(0, dtype=np.int64)
+        return CheckReport(name, False, witness, stats), coords, (no_edges, no_edges)
 
     if total != count:
         return fail(f"{total} words listed, {count} expected")
@@ -640,12 +649,13 @@ def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np
     del cols
     if isinstance(word_edges, str):
         return fail(word_edges)
-    stats["edges"] = int(word_edges.size)
+    lu, lv = word_edges
+    stats["edges"] = int(lu.size)
 
     # the shortest path graph side, from the grid graph: a unit step along
     # axis a adds place[a] to the vertex id, so geodesic k must step by the
     # place values of word total - 1 - k. That map is a bijection whatever
-    # the ids mean, so equal edge sets certify the isomorphism.
+    # the ids mean.
     dag = build_dag(grid_base(spec))
     n_geodesics = guarded_count(dag, limit)
     if n_geodesics != total:
@@ -663,23 +673,41 @@ def _embed_grid(spec: GridSpec, limit: int) -> tuple[CheckReport, np.ndarray, np
         k = int(np.argmax((steps != expected).any(axis=1)))
         return fail(f"geodesic {k} does not decode to word {total - 1 - k}")
     del steps, expected
-    se_u, se_w, _ = matrix_adjacency(matrix)
-    ru, rw = total - 1 - se_u, total - 1 - se_w
-    spg_edges = np.sort(np.minimum(ru, rw) * total + np.maximum(ru, rw))
-    if not np.array_equal(spg_edges, word_edges):
-        return fail("shortest path graph edges differ from word switches")
+    # every lattice step joins two geodesics that differ in exactly one
+    # vertex. Column c of inner holds vertex c + 1 of each word's geodesic;
+    # the end vertices are shared by all geodesics
+    inner = np.ascontiguousarray(matrix[::-1, 1:-1].T)
+    del matrix
+    differ = np.zeros(lu.size, dtype=np.int32)
+    for col in inner:
+        differ += col[lu] != col[lv]
+    del inner
+    bad = np.flatnonzero(differ != 1)
+    if bad.size:
+        k = int(bad[0])
+        return fail(
+            f"words {int(lu[k])} and {int(lv[k])} are one lattice step apart "
+            f"but their geodesics differ in {int(differ[k])} vertices"
+        )
+    # and there are no other edges
+    n_edges = count_spg_edges(dag)
+    if n_edges != lu.size:
+        return fail(f"{n_edges} shortest path graph edges but {lu.size} lattice steps")
     return CheckReport(name, True, None, stats), coords, word_edges
 
 
-def _lattice_edges(spec: GridSpec, words: np.ndarray, cols: np.ndarray) -> np.ndarray | str:
-    """The lattice steps inside the image, packed as ``_embed_grid``'s word
-    edges once they are shown to be the switches, or a failure's witness.
-    ``words`` must be every word once, each with a word's symbol counts,
-    and ``cols`` their images one coordinate per row, meeting the
-    conditions of ``image_violation``."""
+def _lattice_edges(
+    spec: GridSpec, words: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | str:
+    """The lattice steps inside the image as two arrays of word numbers,
+    lower end and upper end, once they are shown to be the switches; or a
+    failure's witness. Steps come coordinate by coordinate, each in the
+    sorted order of its lower ends' lattice codes. ``words`` must be every
+    word once, each with a word's symbol counts, and ``cols`` their images
+    one coordinate per row, meeting the conditions of ``image_violation``."""
     if not spec.embedding_dim:
         # one axis: a single word, with no switches
-        return np.empty(0, dtype=np.int64)
+        return (np.empty(0, dtype=np.int64),) * 2
     total = len(words)
     layout = spec.coordinate_layout()
     # coordinate (i, j, k) lies in 0..n_i, so radix n_i + 1 packs a point
@@ -712,6 +740,7 @@ def _lattice_edges(spec: GridSpec, words: np.ndarray, cols: np.ndarray) -> np.nd
         hit = sorted_codes[np.minimum(pos, total - 1)] == qcodes
         steps.append((order[at[hit]], order[pos[hit]]))
     lu, lv = (np.concatenate(ends) for ends in zip(*steps))
+    del steps  # it would hold every step end a second time
     # a step is a switch when its two words differ in exactly two positions
     # and those are adjacent: with equal symbol counts, the two symbols there
     # are swapped. Read one contiguous word column at a time
@@ -735,7 +764,7 @@ def _lattice_edges(spec: GridSpec, words: np.ndarray, cols: np.ndarray) -> np.nd
     unequal = int(np.count_nonzero(wcols[1:] != wcols[:-1]))
     if 2 * lu.size != unequal:
         return f"{lu.size} lattice steps inside the image but {unequal // 2} word switches"
-    return np.sort(np.minimum(lu, lv) * total + np.maximum(lu, lv))
+    return lu, lv
 
 
 def check_staircase(
@@ -750,14 +779,13 @@ def check_staircase(
     and exactly the word edges between them.
     """
     name = f"staircase-{n1}x{n2}"
-    report, coords, word_edges = _embed_grid(GridSpec((n1, n2)), limit)
+    report, coords, (lu, lv) = _embed_grid(GridSpec((n1, n2)), limit)
     stats = {**report.stats, "vertices": report.stats["words"]}
     if not report.passed:
         return CheckReport(name, False, report.witness, stats)
     stair = staircase(n1, n2)
     names = [coord_name(row) for row in coords.tolist()]
-    u, w = np.divmod(word_edges, len(names))
-    mapped = {frozenset((names[a], names[b])) for a, b in zip(u.tolist(), w.tolist())}
+    mapped = {frozenset((names[a], names[b])) for a, b in zip(lu.tolist(), lv.tolist())}
     if sorted(names) != sorted(stair.vertices):
         witness = "staircase vertices differ from the phi image"
     elif mapped != {frozenset(e) for e in stair.edges}:

@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies for randomized graph tests."""
+"""Shared hypothesis strategies for randomized graph tests, and the grid
+shapes that the exhaustive grid tests run over."""
 
 from __future__ import annotations
 
@@ -34,3 +35,14 @@ def instances(draw, max_vertices: int = 7) -> BaseInstance:
     )
     assume(distances(g, source)[target] != math.inf)
     return BaseInstance(g, source, target)
+
+
+def compositions(total: int):
+    """Every tuple of positive integers with sum ``total``: the axis
+    lengths of each grid with ``total`` moves."""
+    if total == 0:
+        yield ()
+        return
+    for head in range(1, total + 1):
+        for rest in compositions(total - head):
+            yield (head,) + rest

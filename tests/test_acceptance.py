@@ -10,6 +10,7 @@ import random
 import time
 
 import oracles
+import strategies
 from spgraphs import (
     BaseInstance,
     Graph,
@@ -344,21 +345,12 @@ def test_criterion_6_sum_theorems(capsys):
     assert _ELAPSED[6] < 300
 
 
-def _compositions(total: int):
-    if total == 0:
-        yield ()
-        return
-    for head in range(1, total + 1):
-        for rest in _compositions(total - head):
-            yield (head,) + rest
-
-
 def test_criterion_7_grid_embeddings(capsys):
     started = time.time()
     bad = None
     grids = 0
     for n in range(1, 10):
-        for dims in _compositions(n):
+        for dims in strategies.compositions(n):
             report = check_grid_embedding(GridSpec(dims))
             if not report.passed:
                 bad = f"{report.name}: {report.witness}"

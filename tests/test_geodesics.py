@@ -16,6 +16,7 @@ from spgraphs import (
     complete_bipartite_graph,
     count_geodesics,
     enumerate_geodesics,
+    hypercube_graph,
     is_isomorphic,
     iter_geodesics,
     mandatory_edges,
@@ -24,6 +25,9 @@ from spgraphs import (
     spg_of_reduced,
 )
 from spgraphs.constructions import hypercube_base
+from spgraphs.geodesics import count_spg_edges, geodesic_matrix
+from spgraphs.grid import GridSpec, grid_base
+from spgraphs.spg import matrix_adjacency
 
 
 def _k23_instance() -> BaseInstance:
@@ -143,6 +147,29 @@ def test_enumeration_matches_exhaustive_dfs(inst):
     assert geos == oracles.brute_geodesics(inst.graph, inst.source, inst.target)
     assert geos == sorted(geos)
     assert count_geodesics(inst) == len(geos)
+
+
+@settings(max_examples=80, deadline=None)
+@given(strategies.instances(max_vertices=7))
+def test_spg_edge_count_matches_the_pairwise_scan(inst):
+    geos = oracles.brute_geodesics(inst.graph, inst.source, inst.target)
+    assert count_spg_edges(build_dag(inst)) == len(oracles.brute_spg_edges(geos))
+
+
+def test_spg_edge_count_matches_the_bucketed_edges_of_grids_and_hypercubes():
+    dags = [
+        build_dag(grid_base(GridSpec(dims)))
+        for moves in range(1, 9)
+        for dims in strategies.compositions(moves)
+    ]
+    dags += [build_dag(BaseInstance(hypercube_graph(k), "0" * k, "1" * k)) for k in range(3, 7)]
+    assert len(dags) == 255 + 4
+    for dag in dags:
+        assert count_spg_edges(dag) == matrix_adjacency(geodesic_matrix(dag))[0].size
+
+
+def test_spg_edge_count_of_a_long_path_is_zero():
+    assert count_spg_edges(build_dag(BaseInstance(path_graph(1500), "0", "1500"))) == 0
 
 
 @settings(max_examples=80, deadline=None)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+import strategies
 from spgraphs import (
     GeodesicOverflowError,
     GraphError,
@@ -230,17 +231,8 @@ def test_phi_batch_names_the_first_row_that_is_not_a_word(rows, first):
         phi_batch(GridSpec((2, 1)), np.array(rows))
 
 
-def _compositions(total):
-    if total == 0:
-        yield ()
-        return
-    for head in range(1, total + 1):
-        for rest in _compositions(total - head):
-            yield (head,) + rest
-
-
 def test_phi_batch_matches_the_oracle_on_every_small_grid():
-    grids = [dims for n in range(1, 7) for dims in _compositions(n)] + [(1,) * 7]
+    grids = [dims for n in range(1, 7) for dims in strategies.compositions(n)] + [(1,) * 7]
     for dims in grids:
         spec = GridSpec(dims)
         words = words_array(spec)

@@ -623,6 +623,15 @@ GRID_DAMAGE = {
     "geodesics: reverse the rows": (
         "geodesic_matrix", lambda g: g[::-1], "geodesic 0 does not decode to word 29"
     ),
+    "geodesics: shift every id of one row": (
+        # the steps, and so the decode, are unchanged
+        "geodesic_matrix",
+        lambda g: np.concatenate([g[:1] + 1, g[1:]]),
+        "words 28 and 29 are one lattice step apart but their geodesics differ in 4 vertices",
+    ),
+    "count: one edge too many": (
+        "count_spg_edges", lambda n: n + 1, "49 shortest path graph edges but 48 lattice steps"
+    ),
 }
 
 
@@ -636,6 +645,24 @@ def test_grid_embedding_check_fails_on_damaged_input(monkeypatch, damage):
     report = check_grid_embedding(GridSpec((2, 1, 2)))
     assert not report.passed
     assert witness in report.witness
+
+
+def test_grid_embedding_check_needs_exactly_one_differing_vertex(monkeypatch):
+    # on the 1x1 grid, moving geodesic 0 so that its middle vertex is that of
+    # geodesic 1 keeps the steps (the decode passes) and the edge count
+    import spgraphs.verify
+
+    real = spgraphs.verify.geodesic_matrix
+
+    def moved(dag):
+        g = real(dag)
+        return np.concatenate([g[:1] + (g[1, 1] - g[0, 1]), g[1:]])
+
+    monkeypatch.setattr(spgraphs.verify, "geodesic_matrix", moved)
+    report = check_grid_embedding(GridSpec((1, 1)))
+    assert report.witness == (
+        "words 0 and 1 are one lattice step apart but their geodesics differ in 0 vertices"
+    )
 
 
 def test_staircase_and_cayley_checks():
