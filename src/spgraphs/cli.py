@@ -151,14 +151,18 @@ def _report_exit(report: CheckReport) -> int:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     inst = load_instance(args.input, args.a, args.b)
-    if args.reduce:
-        red = reduce_instance(inst)
+    try:
+        red = reduce_instance(inst) if args.reduce else None
+    except NoGeodesicError:
+        # reduction keeps the shortest path graph: empty, as without --reduce
+        red = None
+    if red is None:
+        h = build_spg(inst, limit=args.limit)
+    else:
         if red.collapsed:
             print("reduced instance collapsed to a single vertex; "
                   "the shortest path graph is one lone geodesic")
         h = spg_of_reduced(red, limit=args.limit)
-    else:
-        h = build_spg(inst, limit=args.limit)
     print(f"geodesics={h.num_vertices} edges={h.num_edges} d={h.d}")
     _write_or_print(spg_to_json(h), args.out)
     if args.dot:

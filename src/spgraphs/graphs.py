@@ -3,7 +3,17 @@ operations the rest of the library is built on.
 
 Vertices are opaque strings and the vertex tuple is kept sorted, so every
 derived artifact (edge lists, serializations, search orders) is deterministic.
-Edges are stored as ordered pairs ``(u, v)`` with ``u < v``.
+A vertex's id is its rank in that tuple. A graph stores its edges as two
+int64 arrays of ids, ``lo < hi``, sorted by ``(lo, hi)``: the edges in name
+order. The name views (``edges`` as ordered pairs ``(u, v)`` with ``u < v``,
+``adjacency``, ``index``) are made from them on first read.
+
+Edges are checked once, on ids: a self loop, an unknown vertex and a repeat
+of an earlier edge are refused, naming the first faulty edge in input
+order. Below ``ID_CUTOFF`` edges one Python loop over the names builds the
+stored arrays when every edge is sound; larger inputs, and any input with a
+fault, take a few numpy passes over the ids (a sort of packed pair keys
+finds the repeats).
 """
 
 from __future__ import annotations
@@ -14,10 +24,16 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii as quote
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .spg import SpGraph
+
+# edge count from which graphs are checked, and geodesic DAGs built, on
+# arrays of vertex ids (see geodesics.build_dag for the measured crossover)
+ID_CUTOFF = 64
 
 
 class GraphError(ValueError):
@@ -37,6 +53,95 @@ def _bitmasks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     return bits
 
 
+_FAULTS = (
+    "self loop at {0!r}",
+    "edge ({0!r}, {1!r}) uses an unknown vertex",
+    "duplicate edge ({0!r}, {1!r})",
+)
+
+
+class _EdgeFault(Exception):
+    """The first faulty edge: its position in input order and the message
+    template for its two end names."""
+
+    def __init__(self, position: int, template: str):
+        super().__init__(position, template)
+        self.position = position
+        self.template = template
+
+
+def _endpoint_ids(pairs: Sequence[Iterable[object]], index: Mapping[str, int]) -> list[int]:
+    """The ids of both ends of every edge, flattened as ``u0, v0, u1, ...``.
+
+    Ends are named by ``str()``; a name that is not a vertex gets an id
+    from ``len(index)`` on, the same one at each of its occurrences."""
+    get = index.get
+    ends = [get(x, -1) for u, v in pairs for x in (u, v)]
+    if -1 in ends:
+        n = len(index)
+        extra: dict[str, int] = {}
+
+        def lookup(x: object) -> int:
+            name = str(x)
+            found = get(name)
+            return extra.setdefault(name, n + len(extra)) if found is None else found
+
+        ends = [lookup(x) for u, v in pairs for x in (u, v)]
+    return ends
+
+
+def _small_edge_ids(
+    pairs: Sequence[Iterable[object]], index: Mapping[str, int]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The stored edge arrays of fewer than ``ID_CUTOFF`` edges, made in one
+    loop, when every end is a vertex name and no edge is a self loop or a
+    repeat; None otherwise (more edges, an end given as another object, or
+    a fault), for the array check, which names the fault."""
+    if len(pairs) >= ID_CUTOFF:
+        return None
+    get = index.get
+    n = len(index)
+    keys: set[int] = set()
+    for u, v in pairs:
+        a, b = get(u), get(v)
+        if a is None or b is None or a == b:
+            return None
+        key = a * n + b if a < b else b * n + a
+        if key in keys:
+            return None
+        keys.add(key)
+    return np.divmod(np.array(sorted(keys), dtype=np.int64), n)
+
+
+def _sorted_edge_ids(ends: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges given as flattened end ids (see ``_endpoint_ids``) as int64
+    arrays ``lo < hi`` sorted by ``(lo, hi)``.
+
+    Ids from ``n`` on are not vertices. The first faulty edge in input
+    order raises ``_EdgeFault``: a self loop, else an unknown end, else a
+    repeat of an earlier edge (in either orientation). All earlier edges
+    are sound then, so a repeat is always of a sound edge."""
+    m = len(ends) // 2
+    if not m:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    both = np.asarray(ends, dtype=np.int64).reshape(m, 2)
+    u, v = both[:, 0], both[:, 1]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    key = lo * (int(hi.max()) + 1) + hi
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    # a stable sort keeps equal keys in input order: all but the first repeat
+    repeat = np.zeros(m, dtype=bool)
+    repeat[order[1:]] = ranked[1:] == ranked[:-1]
+    loop, unknown = u == v, hi >= n
+    faulty = loop | unknown | repeat
+    if faulty.any():
+        k = int(faulty.argmax())
+        kind = 0 if loop[k] else 1 if unknown[k] else 2
+        raise _EdgeFault(k, _FAULTS[kind])
+    return lo[order], hi[order]
+
+
 class Graph:
     """An immutable finite simple undirected graph.
 
@@ -45,31 +150,45 @@ class Graph:
     (3, 2)
     >>> sorted(g.neighbors("b"))
     ['a', 'c']
+    >>> g.edge_ids
+    (array([0, 1]), array([1, 2]))
     """
 
-    __slots__ = ("vertices", "edges", "_adj", "_index", "_bits")
+    __slots__ = ("vertices", "_lo", "_hi", "_edges", "_adj", "_index", "_bits")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        vs = [str(v) for v in vertices]
-        seen = set(vs)
-        if len(seen) != len(vs):
+        names = sorted(map(str, vertices))
+        index = dict(zip(names, range(len(names))))
+        if len(index) != len(names):
             raise GraphError("duplicate vertex id")
-        self.vertices: tuple[str, ...] = tuple(sorted(vs))
-        norm: set[tuple[str, str]] = set()
-        for u, v in edges:
-            u, v = str(u), str(v)
-            if u == v:
-                raise GraphError(f"self loop at {u!r}")
-            if u not in seen or v not in seen:
-                raise GraphError(f"edge ({u!r}, {v!r}) uses an unknown vertex")
-            e = _norm_edge(u, v)
-            if e in norm:
-                raise GraphError(f"duplicate edge ({u!r}, {v!r})")
-            norm.add(e)
-        self.edges: frozenset[tuple[str, str]] = frozenset(norm)
+        pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
+        arrays = _small_edge_ids(pairs, index)
+        if arrays is None:
+            try:
+                arrays = _sorted_edge_ids(_endpoint_ids(pairs, index), len(names))
+            except _EdgeFault as fault:
+                u, v = pairs[fault.position]
+                raise GraphError(fault.template.format(str(u), str(v))) from None
+        self._store(tuple(names), *arrays, index)
+
+    def _store(
+        self, names: tuple[str, ...], lo: np.ndarray, hi: np.ndarray,
+        index: dict[str, int] | None,
+    ) -> None:
+        self.vertices: tuple[str, ...] = names
+        self._lo, self._hi = lo, hi
+        self._index = index
+        self._edges: frozenset[tuple[str, str]] | None = None
         self._adj: dict[str, frozenset[str]] | None = None
-        self._index: dict[str, int] | None = None
         self._bits: list[int] | None = None
+
+    @classmethod
+    def _from_ids(cls, names: tuple[str, ...], lo: np.ndarray, hi: np.ndarray) -> "Graph":
+        """A graph from sorted names and sound edge id arrays in the stored
+        layout, taken as they are."""
+        g = cls.__new__(cls)
+        g._store(names, lo, hi, None)
+        return g
 
     # -- basic accessors ---------------------------------------------------
 
@@ -79,7 +198,22 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self._lo.size
+
+    @property
+    def edge_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stored edges: id arrays ``lo < hi``, sorted by ``(lo, hi)``."""
+        return self._lo, self._hi
+
+    def _name_pairs(self) -> Iterator[tuple[str, str]]:
+        name = self.vertices.__getitem__
+        return zip(map(name, self._lo.tolist()), map(name, self._hi.tolist()))
+
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        if self._edges is None:
+            self._edges = frozenset(self._name_pairs())
+        return self._edges
 
     @property
     def adjacency(self) -> dict[str, frozenset[str]]:
@@ -101,25 +235,24 @@ class Graph:
         return _norm_edge(u, v) in self.edges
 
     def has_vertex(self, v: str) -> bool:
-        return v in self.adjacency
+        return v in self.index
 
     def sorted_edges(self) -> list[tuple[str, str]]:
-        return sorted(self.edges)
+        return list(self._name_pairs())
 
     # -- bitset view used by the search-heavy algorithms --------------------
 
     @property
     def index(self) -> dict[str, int]:
         if self._index is None:
-            self._index = {v: i for i, v in enumerate(self.vertices)}
+            self._index = dict(zip(self.vertices, range(len(self.vertices))))
         return self._index
 
     @property
     def adjacency_bits(self) -> list[int]:
         """Adjacency as one int bitmask per vertex, in vertex order."""
         if self._bits is None:
-            idx = self.index
-            pairs = ((idx[u], idx[v]) for u, v in self.edges)
+            pairs = zip(self._lo.tolist(), self._hi.tolist())
             self._bits = _bitmasks(len(self.vertices), pairs)
         return self._bits
 
@@ -128,10 +261,14 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return (
+            self.vertices == other.vertices
+            and np.array_equal(self._lo, other._lo)
+            and np.array_equal(self._hi, other._hi)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self._lo.tobytes(), self._hi.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph({self.num_vertices} vertices, {self.num_edges} edges)"
@@ -389,10 +526,14 @@ def _json_value(value: object, pad: str, sort_keys: bool) -> str:
 
 
 def graph_fields(g: Graph) -> dict[str, list[str]]:
-    """The JSON fields of a graph: one record per vertex and per edge."""
+    """The JSON fields of a graph: one record per vertex and per edge, the
+    edges written from their sorted id pairs with each name quoted once."""
+    codes = list(map(quote, g.vertices))
+    code = np.array(codes, dtype=object)
+    lo, hi = g.edge_ids
     return {
-        "vertices": [quote(v) for v in g.vertices],
-        "edges": [f"[{quote(u)}, {quote(v)}]" for u, v in g.sorted_edges()],
+        "vertices": codes,
+        "edges": list(map("[{}, {}]".format, code[lo], code[hi])),
     }
 
 
@@ -425,28 +566,36 @@ def graph_from_json(text: str) -> Graph:
 
 
 def graph_from_edge_list(text: str) -> Graph:
-    """Parse the plain text format: one ``u v`` pair per line, ``#`` comments."""
-    verts: list[str] = []
-    seen: set[str] = set()
-    norm_seen: set[tuple[str, str]] = set()
-    pairs: list[tuple[str, str]] = []
+    """Parse the plain text format: one ``u v`` pair per line, ``#`` comments.
+
+    The vertices are the names that occur. Each edge is checked once, on
+    ids, and a fault names its line."""
+    first_seen: dict[str, int] = {}
+    ends: list[int] = []
+    lines: list[int] = []
+    malformed = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise GraphError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
-        u, v = parts
-        if u == v:
-            raise GraphError(f"line {lineno}: self loop at {u!r}")
-        for x in (u, v):
-            if x not in seen:
-                seen.add(x)
-                verts.append(x)
-        e = _norm_edge(u, v)
-        if e in norm_seen:
-            raise GraphError(f"line {lineno}: duplicate edge ({u!r}, {v!r})")
-        norm_seen.add(e)
-        pairs.append((u, v))
-    return Graph(verts, pairs)
+            malformed = GraphError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
+            break
+        for x in parts:
+            ends.append(first_seen.setdefault(x, len(first_seen)))
+        lines.append(lineno)
+    names = sorted(first_seen)
+    # ids in order of first occurrence -> ranks among the sorted names
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[[first_seen[v] for v in names]] = np.arange(len(names))
+    ids = rank[ends].tolist() if ends else []
+    try:
+        lo, hi = _sorted_edge_ids(ids, len(names))
+    except _EdgeFault as fault:
+        k = fault.position
+        u, v = names[ids[2 * k]], names[ids[2 * k + 1]]
+        raise GraphError(f"line {lines[k]}: " + fault.template.format(u, v)) from None
+    if malformed is not None:
+        raise malformed
+    return Graph._from_ids(tuple(names), lo, hi)

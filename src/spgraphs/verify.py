@@ -678,9 +678,12 @@ def _embed_grid(
     # the end vertices are shared by all geodesics
     inner = np.ascontiguousarray(matrix[::-1, 1:-1].T)
     del matrix
+    # intp indices spare numpy a conversion at every gather
+    ends = lu.astype(np.intp), lv.astype(np.intp)
     differ = np.zeros(lu.size, dtype=np.int32)
     for col in inner:
-        differ += col[lu] != col[lv]
+        differ += col[ends[0]] != col[ends[1]]
+    del ends
     del inner
     bad = np.flatnonzero(differ != 1)
     if bad.size:
@@ -699,12 +702,13 @@ def _embed_grid(
 def _lattice_edges(
     spec: GridSpec, words: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | str:
-    """The lattice steps inside the image as two arrays of word numbers,
-    lower end and upper end, once they are shown to be the switches; or a
-    failure's witness. Steps come coordinate by coordinate, each in the
-    sorted order of its lower ends' lattice codes. ``words`` must be every
-    word once, each with a word's symbol counts, and ``cols`` their images
-    one coordinate per row, meeting the conditions of ``image_violation``."""
+    """The lattice steps inside the image as two arrays of word numbers
+    (int32 below 2**31 words), lower end and upper end, once they are
+    shown to be the switches; or a failure's witness. Steps come
+    coordinate by coordinate, each in the sorted order of its lower ends'
+    lattice codes. ``words`` must be every word once, each with a word's
+    symbol counts, and ``cols`` their images one coordinate per row,
+    meeting the conditions of ``image_violation``."""
     if not spec.embedding_dim:
         # one axis: a single word, with no switches
         return (np.empty(0, dtype=np.int64),) * 2
@@ -764,6 +768,9 @@ def _lattice_edges(
     unequal = int(np.count_nonzero(wcols[1:] != wcols[:-1]))
     if 2 * lu.size != unequal:
         return f"{lu.size} lattice steps inside the image but {unequal // 2} word switches"
+    if total < 2**31:
+        # int32 halves what the caller holds while the geodesic matrix is built
+        lu, lv = lu.astype(np.int32), lv.astype(np.int32)
     return lu, lv
 
 

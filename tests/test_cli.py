@@ -1,6 +1,9 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import itertools
 import json
+import math
+import random
 
 import pytest
 
@@ -608,3 +611,52 @@ def test_every_writer_ends_in_one_newline(capsys, k23_file, tmp_path, argv):
     assert code == 0
     text = out_file.read_text()
     assert text.endswith("\n") and not text.endswith("\n\n")
+
+
+def test_compute_reduce_agrees_with_compute_on_disconnected_endpoints(capsys, tmp_path):
+    path = tmp_path / "dis.txt"
+    path.write_text("a b\nc d\n")
+    argv = ["compute", "--in", str(path), "--a", "a", "--b", "c"]
+    plain = _run(capsys, argv)
+    assert plain[0] == 0
+    assert plain[1] == 'geodesics=0 edges=0 d=None\n{\n  "geodesics": [],\n  "edges": []\n}\n'
+    assert _run(capsys, argv + ["--reduce"]) == plain
+    code, out, err = _run(capsys, ["reduce", "--in", str(path), "--a", "a", "--b", "c"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: no path between 'a' and 'c'\n")
+
+
+def test_a_shuffled_box_file_is_counted_exactly_and_reduces_to_itself(capsys, tmp_path):
+    # the 12 x 12 x 12 box, built here, every list shuffled and every edge
+    # written in a random orientation
+    n = 12
+    rng = random.Random(12)
+    points = list(itertools.product(range(n + 1), repeat=3))
+    name = "_".join
+    vertices = [name(map(str, p)) for p in points]
+    edges = []
+    for p in points:
+        for axis in range(3):
+            if p[axis] < n:
+                q = list(p)
+                q[axis] += 1
+                edges.append([name(map(str, p)), name(map(str, q))])
+    for e in edges:
+        rng.shuffle(e)
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    corner = f"{n}_{n}_{n}"
+    count = math.factorial(3 * n) // math.factorial(n) ** 3
+    code, _, err = _run(capsys, ["compute", "--in", str(path), "--a", "0_0_0", "--b", corner])
+    assert code == 2
+    assert err.endswith(f"error: {count} geodesics exceed the limit of 1000000\n")
+    out_file = tmp_path / "box.red.json"
+    code, _, _ = _run(capsys, ["reduce", "--in", str(path), "--a", "0_0_0", "--b", corner,
+                               "--out", str(out_file)])
+    assert code == 0
+    payload = json.loads(out_file.read_text())
+    assert payload["graph"] == {"vertices": sorted(vertices), "edges": sorted(map(sorted, edges))}
+    assert payload["vertex_map"] == {v: v for v in vertices}
+    assert (payload["source"], payload["target"], payload["collapsed"]) == ("0_0_0", corner, False)

@@ -1,5 +1,8 @@
 """Tests for geodesic structure: the DAG, counting, enumeration, reduction."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
@@ -25,7 +28,15 @@ from spgraphs import (
     spg_of_reduced,
 )
 from spgraphs.constructions import hypercube_base
-from spgraphs.geodesics import count_spg_edges, geodesic_matrix
+from spgraphs.geodesics import (
+    _build_dag_ids,
+    _build_dag_names,
+    _reduce_ids,
+    _reduce_names,
+    count_spg_edges,
+    geodesic_matrix,
+)
+from spgraphs.graphs import ID_CUTOFF
 from spgraphs.grid import GridSpec, grid_base
 from spgraphs.spg import matrix_adjacency
 
@@ -203,3 +214,93 @@ def test_extend_distance_requires_growth():
     with pytest.raises(GraphError):
         extend_distance(inst, 1)
     assert extend_distance(inst, 2) is inst
+
+
+# -- the id path and the name path ------------------------------------------
+
+
+def _both_dags(inst):
+    return _build_dag_names(inst), _build_dag_ids(inst)
+
+
+def _assert_same_dag(by_names, by_ids):
+    assert by_ids.names == by_names.names
+    assert by_ids.d == by_names.d
+    for got, want in zip(by_ids.csr, by_names.csr):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(by_ids.levels, by_names.levels)
+    assert by_ids.dist_from_source == by_names.dist_from_source
+    assert by_ids.vertices == by_names.vertices
+    assert by_ids.edges == by_names.edges
+    assert by_ids.successors == by_names.successors
+    assert count_geodesics(by_ids) == count_geodesics(by_names)
+
+
+@settings(max_examples=80, deadline=None)
+@given(strategies.instances(max_vertices=7))
+def test_id_and_name_paths_give_the_same_dag(inst):
+    by_names, by_ids = _both_dags(inst)
+    _assert_same_dag(by_names, by_ids)
+    geos = oracles.brute_geodesics(inst.graph, inst.source, inst.target)
+    assert count_geodesics(by_ids) == len(geos)
+    assert count_spg_edges(by_ids) == count_spg_edges(by_names)
+
+
+def test_id_and_name_paths_agree_on_both_sides_of_the_cutoff():
+    grids = [(2, 2), (3, 3), (4, 4), (2, 2, 2), (5, 5), (3, 3, 3), (1,) * 6, (6, 7)]
+    sizes = []
+    for dims in grids:
+        inst = grid_base(GridSpec(dims))
+        by_names, by_ids = _both_dags(inst)
+        _assert_same_dag(by_names, by_ids)
+        assert count_geodesics(by_ids) == oracles.multinomial(dims)
+        sizes.append(inst.graph.num_edges)
+    for k in range(2, 8):
+        inst = BaseInstance(hypercube_graph(k), "0" * k, "1" * k)
+        by_names, by_ids = _both_dags(inst)
+        _assert_same_dag(by_names, by_ids)
+        assert count_geodesics(by_ids) == math.factorial(k)
+        sizes.append(inst.graph.num_edges)
+    assert min(sizes) < ID_CUTOFF <= max(sizes)
+
+
+def test_count_of_a_large_box_is_exact_past_int64():
+    inst = grid_base(GridSpec((20, 20, 20)))
+    want = oracles.multinomial((20, 20, 20))
+    assert want > 2**63
+    assert count_geodesics(inst) == want
+    assert count_geodesics(_build_dag_names(inst)) == want
+
+
+def _assert_same_reduction(inst):
+    by_names, by_ids = _both_dags(inst)
+    red = _reduce_names(by_names)
+    assert _reduce_ids(by_ids) == red
+    assert reduce_instance(inst) == red
+    return red
+
+
+@settings(max_examples=80, deadline=None)
+@given(strategies.instances(max_vertices=7))
+def test_id_and_name_paths_give_the_same_reduction(inst):
+    _assert_same_reduction(inst)
+
+
+def test_id_and_name_paths_reduce_a_large_box_with_a_forced_tail():
+    box = grid_base(GridSpec((6, 6, 6)))
+    corner = box.target
+    # a forced tail from the far corner, named below the corner, and a
+    # pendant off every geodesic
+    tail = ["&t1", "&t2", "&t3"]
+    middle = box.graph.vertices[box.graph.num_vertices // 2]
+    edges = [*box.graph.edges, (corner, tail[0]), *zip(tail, tail[1:]), (middle, "x")]
+    g = Graph([*box.graph.vertices, *tail, "x"], edges)
+    assert g.num_edges >= ID_CUTOFF
+    red = _assert_same_reduction(BaseInstance(g, box.source, tail[-1]))
+    assert not red.collapsed
+    assert (red.source, red.target) == (box.source, "&t1")
+    assert red.graph == box.graph.relabel(
+        {v: "&t1" if v == corner else v for v in box.graph.vertices}
+    )
+    assert red.vertex_map["x"] is None
+    assert [v for v, w in red.vertex_map.items() if w == "&t1"] == [*tail, corner]

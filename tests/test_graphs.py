@@ -1,6 +1,8 @@
 """Tests for the core graph container, traversals, and named families."""
 
+import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from spgraphs import (
     path_graph,
     star_graph,
 )
+from spgraphs.graphs import ID_CUTOFF
 
 
 def test_construction_normalizes_and_sorts():
@@ -179,36 +182,113 @@ def test_json_roundtrip_and_errors():
         graph_from_json('{"vertices": ["a", "b"], "edges": [["a"]]}')
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
-        ("[]", "graph JSON must be an object"),
-        ('{"edges": []}', "graph JSON is missing 'vertices'"),
-        ('{"vertices": ["a"]}', "graph JSON is missing 'edges'"),
-        ('{"vertices": ["a", 1], "edges": []}', "'vertices' must be a list of strings"),
-        ('{"vertices": ["a"], "edges": {}}', "'edges' must be a list of pairs"),
-        # the first bad edge is named, whatever is wrong with it
-        ('{"vertices": ["a", "b"], "edges": [["a", "b"], "ab", ["a"]]}',
-         "edge #1 must be a pair of vertex ids"),
-        ('{"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "b", "a"]]}',
-         "edge #1 must be a pair of vertex ids"),
-        ('{"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"], ["a", 2]]}',
-         "edge #2 must be a pair of vertex ids"),
-        ('{"vertices": ["a", "b"], "edges": [[1, "b"]]}', "edge #0 must be a pair of vertex ids"),
-        ('{"vertices": ["a", "b"], "edges": [{"u": "a", "w": "b"}]}',
-         "edge #0 must be a pair of vertex ids"),
-        ('{"vertices": ["a", "b"], "edges": [["a", "c"]]}',
-         "edge ('a', 'c') uses an unknown vertex"),
-        ('{"vertices": ["a", "b"], "edges": [["a", "a"]]}', "self loop at 'a'"),
-        ('{"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}',
-         "duplicate edge ('b', 'a')"),
-    ],
-)
+JSON_ERRORS = [
+    ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[]", "graph JSON must be an object"),
+    ('{"edges": []}', "graph JSON is missing 'vertices'"),
+    ('{"vertices": ["a"]}', "graph JSON is missing 'edges'"),
+    ('{"vertices": ["a", 1], "edges": []}', "'vertices' must be a list of strings"),
+    ('{"vertices": ["a"], "edges": {}}', "'edges' must be a list of pairs"),
+    # the first bad edge is named, whatever is wrong with it
+    ('{"vertices": ["a", "b"], "edges": [["a", "b"], "ab", ["a"]]}',
+     "edge #1 must be a pair of vertex ids"),
+    ('{"vertices": ["a", "b"], "edges": [["a", "b"], ["a", "b", "a"]]}',
+     "edge #1 must be a pair of vertex ids"),
+    ('{"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"], ["a", 2]]}',
+     "edge #2 must be a pair of vertex ids"),
+    ('{"vertices": ["a", "b"], "edges": [[1, "b"]]}', "edge #0 must be a pair of vertex ids"),
+    ('{"vertices": ["a", "b"], "edges": [{"u": "a", "w": "b"}]}',
+     "edge #0 must be a pair of vertex ids"),
+    ('{"vertices": ["a", "b"], "edges": [["a", "c"]]}',
+     "edge ('a', 'c') uses an unknown vertex"),
+    ('{"vertices": ["a", "b"], "edges": [["a", "a"]]}', "self loop at 'a'"),
+    ('{"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}',
+     "duplicate edge ('b', 'a')"),
+    # the first faulty edge in input order, whatever comes after it
+    ('{"vertices": ["a", "b"], "edges": [["a", "c"], ["a", "a"]]}',
+     "edge ('a', 'c') uses an unknown vertex"),
+    ('{"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"], ["c", "c"]]}',
+     "duplicate edge ('b', 'a')"),
+    ('{"vertices": ["a", "b"], "edges": [["c", "c"], ["a", "c"]]}', "self loop at 'c'"),
+    ('{"vertices": ["a", "b"], "edges": [["c", "d"], ["d", "c"]]}',
+     "edge ('c', 'd') uses an unknown vertex"),
+]
+
+
+@pytest.mark.parametrize("text, message", JSON_ERRORS)
 def test_graph_json_error_messages(text, message):
     with pytest.raises(GraphError) as caught:
         graph_from_json(text)
     assert str(caught.value) == message
+
+
+# a path on vertices p0..pP whose P edges reach the id path on their own
+PREFIX = ID_CUTOFF + 3
+PREFIX_VERTICES = [f"p{i}" for i in range(PREFIX + 1)]
+PREFIX_EDGES = [[f"p{i}", f"p{i + 1}"] for i in range(PREFIX)]
+
+
+@pytest.mark.parametrize("text, message", [
+    (text, message) for text, message in JSON_ERRORS
+    if text.startswith("{") and '"edges": [' in text and '"vertices": [' in text
+])
+def test_graph_json_errors_name_the_same_edge_after_a_long_prefix(text, message):
+    payload = json.loads(text)
+    payload["vertices"] += PREFIX_VERTICES
+    payload["edges"] = PREFIX_EDGES + payload["edges"]
+    shifted = re.sub(r"#(\d+)", lambda m: f"#{int(m.group(1)) + PREFIX}", message)
+    with pytest.raises(GraphError) as caught:
+        graph_from_json(json.dumps(payload))
+    assert str(caught.value) == shifted
+    # the constructor's own faults, given tuples
+    if message.startswith(("self loop", "edge (", "duplicate edge")):
+        with pytest.raises(GraphError) as caught:
+            Graph(payload["vertices"], [tuple(e) for e in payload["edges"]])
+        assert str(caught.value) == message
+
+
+def test_a_long_graph_is_stored_as_the_short_one_is():
+    vertices = [*PREFIX_VERTICES, "a", "b"]
+    edges = [tuple(e) for e in PREFIX_EDGES] + [("b", "a")]
+    long = Graph(vertices, edges)
+    assert long.num_edges >= ID_CUTOFF
+    edge_set = {(min(u, v), max(u, v)) for u, v in edges}
+    assert long.edges == edge_set
+    assert long.sorted_edges() == sorted(edge_set)
+    lo, hi = long.edge_ids
+    assert [(long.vertices[i], long.vertices[j]) for i, j in zip(lo, hi)] == sorted(edge_set)
+    short = Graph(vertices, edges[-3:])
+    assert short.num_edges < ID_CUTOFF
+    assert short.sorted_edges() == sorted({(min(u, v), max(u, v)) for u, v in edges[-3:]})
+    assert long == Graph(reversed(vertices), [(v, u) for u, v in reversed(edges)])
+    assert long != short
+
+
+def test_loading_an_instance_builds_no_name_view():
+    for g in (graph_from_json(graph_to_json(hypercube_graph(5))),
+              graph_from_edge_list("".join(f"p{i} p{i + 1}\n" for i in range(PREFIX)))):
+        BaseInstance(g, g.vertices[0], g.vertices[-1])
+        assert (g._adj, g._edges) == (None, None)
+
+
+EDGE_LIST_ERRORS = [
+    ("a b\na b c\n", "line 2: expected 'u v', got 'a b c'"),
+    ("a b\nb c\nb a\n", "line 3: duplicate edge ('b', 'a')"),
+    ("a a\n", "line 1: self loop at 'a'"),
+    # a fault on an earlier line wins over a malformed later one
+    ("a b\nb b\nx\n", "line 2: self loop at 'b'"),
+    ("a b # note\n\n# gap\nb a\n", "line 4: duplicate edge ('b', 'a')"),
+]
+
+
+@pytest.mark.parametrize("text, message", EDGE_LIST_ERRORS)
+@pytest.mark.parametrize("prefix", [0, PREFIX])
+def test_edge_list_error_messages(text, message, prefix):
+    lines = "".join(f"p{i} p{i + 1}\n" for i in range(prefix))
+    shifted = re.sub(r"line (\d+)", lambda m: f"line {int(m.group(1)) + prefix}", message)
+    with pytest.raises(GraphError) as caught:
+        graph_from_edge_list(lines + text)
+    assert str(caught.value) == shifted
 
 
 def test_edge_list_roundtrip_comments_and_errors():
