@@ -13,8 +13,8 @@ against ``graphs.ID_CUTOFF`` (see ``build_dag``). Small graphs take the
 dict path: BFS distance dicts over names and one test per name edge. Large
 ones take the id path: BFS over int neighbour lists, one array test of
 every edge id pair, and the successor lists read off directly; the count
-then runs layer by layer over ids, and the reduction maps ids. Both paths
-give the same DAG, count and reduction.
+then runs layer by layer over ids. Both paths give the same DAG and count,
+and the reduction runs on the DAG's ids whichever path built it.
 
 The on-geodesic vertices at one distance from the source form a layer,
 and every geodesic passes through each layer once. An edge lies on every
@@ -143,29 +143,30 @@ def build_dag(inst: BaseInstance) -> GeodesicDag:
     Graphs with ``ID_CUTOFF`` edges or more take the id path
     (``_build_dag_ids``), smaller ones the dict path (``_build_dag_names``);
     both give the same DAG. The id path pays a few numpy calls and makes
-    int lists from the edge arrays, so it wins only on enough edges. The
-    cutoff sits where the two meet; there ``Graph``'s loop over sound
-    small inputs and its array check cost about the same, and the loop
-    stays a little ahead up to a few hundred edges. Best of 15 timings on
-    a 2-vCPU Xeon VM (Python 3.11.7, numpy 2.4.6), in ms: ``build_dag``
-    plus ``count_geodesics`` on each path, and ``Graph(vertices, edges)``
-    with each check:
+    int lists from the edge arrays, so it wins only on enough edges; the
+    cutoff sits where the two meet. It is also where ``Graph`` switches
+    from storing name pairs to storing id arrays, so the id path always
+    reads a stored form; the name-pair loop stays a little ahead of the
+    array check up to a few hundred edges. Best of 15 timings on a 2-vCPU
+    Xeon VM (Python 3.11.7, numpy 2.4.6), in ms: ``build_dag`` plus
+    ``count_geodesics`` on each path, and ``Graph(vertices, edges)`` with
+    each check:
 
     ==============  =====  =====  =====  =====  ======
     instance        edges  names  ids    loop   arrays
     ==============  =====  =====  =====  =====  ======
-    K_{2,3}             6  0.02   0.05   0.01   0.02
+    K_{2,3}             6  0.02   0.05   0.00   0.03
     Q4                 32  0.04   0.06   0.01   0.03
-    grid (4, 4)        40  0.07   0.07   0.02   0.03
+    grid (4, 4)        40  0.06   0.07   0.01   0.03
     path 48            48  0.10   0.09   0.02   0.03
-    grid (2, 2, 2)     54  0.06   0.07   0.02   0.03
-    grid (5, 5)        60  0.08   0.08   0.03   0.03
-    K_{2,32}           64  0.08   0.08   0.04   0.03
-    Q6                192  0.18   0.12   0.06   0.07
-    path 256          256  0.53   0.29   0.09   0.11
-    Q8               1024  0.97   0.42   0.29   0.26
-    grid 1^9         2304  2.65   0.91   0.72   0.55
-    path 1500        1500  4.19   1.73   0.63   0.54
+    grid (2, 2, 2)     54  0.07   0.07   0.02   0.03
+    grid (5, 5)        60  0.08   0.08   0.02   0.04
+    K_{2,32}           64  0.08   0.08   0.02   0.04
+    Q6                192  0.19   0.13   0.06   0.07
+    path 256          256  0.55   0.31   0.09   0.10
+    Q8               1024  1.06   0.46   0.31   0.28
+    grid 1^9         2304  2.80   0.95   0.76   0.61
+    path 1500        1500  3.96   1.67   0.61   0.93
     ==============  =====  =====  =====  =====  ======
     """
     if inst.graph.num_edges >= ID_CUTOFF:
@@ -497,36 +498,10 @@ def reduce_instance(inst: BaseInstance) -> ReducedInstance:
     """Delete off-geodesic material, contract mandatory edges.
 
     One pass reaches a fixpoint: every surviving edge is on some geodesic
-    and no surviving edge is on all of them. A DAG of the id path is
-    reduced on ids (``_reduce_ids``), one of the dict path on names
-    (``_reduce_names``); both give the same reduction.
+    and no surviving edge is on all of them. The reduction runs on DAG ids,
+    whichever path built the DAG (``_reduce_ids``).
     """
-    dag = build_dag(inst)
-    if isinstance(dag, _IdDag):
-        return _reduce_ids(dag)
-    return _reduce_names(dag)
-
-
-def _reduce_names(dag: GeodesicDag) -> ReducedInstance:
-    inst = dag.instance
-    image = {v: v for v in dag.vertices}
-    for run in _forced_runs(dag):
-        image.update(dict.fromkeys(run, min(run)))
-    reduced_edges = set()
-    for u, v in dag.edges:
-        iu, iv = image[u], image[v]
-        if iu != iv:
-            reduced_edges.add((iu, iv) if iu < iv else (iv, iu))
-    graph = Graph(set(image.values()), reduced_edges)
-    source = image[inst.source]
-    target = image[inst.target]
-    return ReducedInstance(
-        graph=graph,
-        source=source,
-        target=target,
-        vertex_map={v: image.get(v) for v in inst.graph.vertices},
-        collapsed=source == target,
-    )
+    return _reduce_ids(build_dag(inst))
 
 
 def _reduce_ids(dag: GeodesicDag) -> ReducedInstance:

@@ -3,17 +3,17 @@ operations the rest of the library is built on.
 
 Vertices are opaque strings and the vertex tuple is kept sorted, so every
 derived artifact (edge lists, serializations, search orders) is deterministic.
-A vertex's id is its rank in that tuple. A graph stores its edges as two
-int64 arrays of ids, ``lo < hi``, sorted by ``(lo, hi)``: the edges in name
-order. The name views (``edges`` as ordered pairs ``(u, v)`` with ``u < v``,
-``adjacency``, ``index``) are made from them on first read.
+A vertex's id is its rank in that tuple. A graph stores its edges in one
+of two forms, chosen by their count against ``ID_CUTOFF``: below it the
+frozenset ``edges`` of name pairs ``(u, v)`` with ``u < v``, as built by
+one checking loop; from it on ``edge_ids``, two read-only int64 arrays of
+ids ``lo < hi`` sorted by ``(lo, hi)`` (the edges in name order). The other
+form, ``adjacency`` and ``index`` are views made on first read.
 
-Edges are checked once, on ids: a self loop, an unknown vertex and a repeat
-of an earlier edge are refused, naming the first faulty edge in input
-order. Below ``ID_CUTOFF`` edges one Python loop over the names builds the
-stored arrays when every edge is sound; larger inputs, and any input with a
-fault, take a few numpy passes over the ids (a sort of packed pair keys
-finds the repeats).
+Edges are checked once: a self loop, an unknown vertex and a repeat of an
+earlier edge are refused, naming the first faulty edge in input order.
+Large inputs are checked on ids, in a few numpy passes (a sort of packed
+pair keys finds the repeats).
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ import numpy as np
 if TYPE_CHECKING:
     from .spg import SpGraph
 
-# edge count from which graphs are checked, and geodesic DAGs built, on
-# arrays of vertex ids (see geodesics.build_dag for the measured crossover)
+# edge count from which graphs check and store their edges, and geodesic
+# DAGs are built, on arrays of vertex ids (see geodesics.build_dag for the
+# measured crossover)
 ID_CUTOFF = 64
 
 
@@ -90,27 +91,30 @@ def _endpoint_ids(pairs: Sequence[Iterable[object]], index: Mapping[str, int]) -
     return ends
 
 
-def _small_edge_ids(
-    pairs: Sequence[Iterable[object]], index: Mapping[str, int]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The stored edge arrays of fewer than ``ID_CUTOFF`` edges, made in one
-    loop, when every end is a vertex name and no edge is a self loop or a
-    repeat; None otherwise (more edges, an end given as another object, or
-    a fault), for the array check, which names the fault."""
-    if len(pairs) >= ID_CUTOFF:
-        return None
-    get = index.get
-    n = len(index)
-    keys: set[int] = set()
+def _checked_edge_set(
+    pairs: Iterable[Iterable[object]], seen: set[str]
+) -> frozenset[tuple[str, str]]:
+    """The edges as name pairs ``(u, v)`` with ``u < v``, checked in one
+    loop; the first faulty edge raises (see ``_FAULTS``)."""
+    norm: set[tuple[str, str]] = set()
     for u, v in pairs:
-        a, b = get(u), get(v)
-        if a is None or b is None or a == b:
-            return None
-        key = a * n + b if a < b else b * n + a
-        if key in keys:
-            return None
-        keys.add(key)
-    return np.divmod(np.array(sorted(keys), dtype=np.int64), n)
+        u, v = str(u), str(v)
+        if u == v:
+            raise GraphError(_FAULTS[0].format(u))
+        if u not in seen or v not in seen:
+            raise GraphError(_FAULTS[1].format(u, v))
+        e = _norm_edge(u, v)
+        if e in norm:
+            raise GraphError(_FAULTS[2].format(u, v))
+        norm.add(e)
+    return frozenset(norm)
+
+
+def _name_pairs(
+    names: tuple[str, ...], lo: np.ndarray, hi: np.ndarray
+) -> Iterator[tuple[str, str]]:
+    name = names.__getitem__
+    return zip(map(name, lo.tolist()), map(name, hi.tolist()))
 
 
 def _sorted_edge_ids(ends: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,40 +158,48 @@ class Graph:
     (array([0, 1]), array([1, 2]))
     """
 
-    __slots__ = ("vertices", "_lo", "_hi", "_edges", "_adj", "_index", "_bits")
+    __slots__ = ("vertices", "_edges", "_lo", "_hi", "_adj", "_index", "_bits")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        names = sorted(map(str, vertices))
-        index = dict(zip(names, range(len(names))))
-        if len(index) != len(names):
+        vs = [str(v) for v in vertices]
+        seen = set(vs)
+        if len(seen) != len(vs):
             raise GraphError("duplicate vertex id")
+        names = tuple(sorted(vs))
         pairs = edges if isinstance(edges, (list, tuple)) else list(edges)
-        arrays = _small_edge_ids(pairs, index)
-        if arrays is None:
-            try:
-                arrays = _sorted_edge_ids(_endpoint_ids(pairs, index), len(names))
-            except _EdgeFault as fault:
-                u, v = pairs[fault.position]
-                raise GraphError(fault.template.format(str(u), str(v))) from None
-        self._store(tuple(names), *arrays, index)
+        if len(pairs) < ID_CUTOFF:
+            self._store(names, _checked_edge_set(pairs, seen), None, None, None)
+            return
+        index = dict(zip(names, range(len(names))))
+        try:
+            lo, hi = _sorted_edge_ids(_endpoint_ids(pairs, index), len(names))
+        except _EdgeFault as fault:
+            u, v = pairs[fault.position]
+            raise GraphError(fault.template.format(str(u), str(v))) from None
+        self._store(names, None, lo, hi, index)
 
     def _store(
-        self, names: tuple[str, ...], lo: np.ndarray, hi: np.ndarray,
-        index: dict[str, int] | None,
+        self, names: tuple[str, ...], edges: frozenset[tuple[str, str]] | None,
+        lo: np.ndarray | None, hi: np.ndarray | None, index: dict[str, int] | None,
     ) -> None:
         self.vertices: tuple[str, ...] = names
+        self._edges = edges
+        if lo is not None:
+            # read-only, so the stored form cannot change through edge_ids
+            lo.setflags(write=False)
+            hi.setflags(write=False)
         self._lo, self._hi = lo, hi
         self._index = index
-        self._edges: frozenset[tuple[str, str]] | None = None
         self._adj: dict[str, frozenset[str]] | None = None
         self._bits: list[int] | None = None
 
     @classmethod
     def _from_ids(cls, names: tuple[str, ...], lo: np.ndarray, hi: np.ndarray) -> "Graph":
-        """A graph from sorted names and sound edge id arrays in the stored
-        layout, taken as they are."""
+        """A graph from sorted names and sound edge id arrays in the
+        ``edge_ids`` layout, taken as they are."""
         g = cls.__new__(cls)
-        g._store(names, lo, hi, None)
+        edges = frozenset(_name_pairs(names, lo, hi)) if lo.size < ID_CUTOFF else None
+        g._store(names, edges, lo, hi, None)
         return g
 
     # -- basic accessors ---------------------------------------------------
@@ -198,21 +210,25 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return self._lo.size
+        return len(self._edges) if self._lo is None else self._lo.size
 
     @property
     def edge_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stored edges: id arrays ``lo < hi``, sorted by ``(lo, hi)``."""
+        """The edges as read-only int64 id arrays ``lo < hi``, sorted by
+        ``(lo, hi)``."""
+        if self._lo is None:
+            index = self.index
+            ids = sorted((index[u], index[v]) for u, v in self._edges)
+            both = np.array(ids, dtype=np.int64).reshape(-1, 2).T.copy()
+            both.setflags(write=False)
+            self._lo, self._hi = both
         return self._lo, self._hi
-
-    def _name_pairs(self) -> Iterator[tuple[str, str]]:
-        name = self.vertices.__getitem__
-        return zip(map(name, self._lo.tolist()), map(name, self._hi.tolist()))
 
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
+        """The edges as name pairs ``(u, v)`` with ``u < v``."""
         if self._edges is None:
-            self._edges = frozenset(self._name_pairs())
+            self._edges = frozenset(_name_pairs(self.vertices, self._lo, self._hi))
         return self._edges
 
     @property
@@ -238,7 +254,9 @@ class Graph:
         return v in self.index
 
     def sorted_edges(self) -> list[tuple[str, str]]:
-        return list(self._name_pairs())
+        if self._lo is None:
+            return sorted(self._edges)
+        return list(_name_pairs(self.vertices, self._lo, self._hi))
 
     # -- bitset view used by the search-heavy algorithms --------------------
 
@@ -252,22 +270,32 @@ class Graph:
     def adjacency_bits(self) -> list[int]:
         """Adjacency as one int bitmask per vertex, in vertex order."""
         if self._bits is None:
-            pairs = zip(self._lo.tolist(), self._hi.tolist())
+            if self._lo is None:
+                idx = self.index
+                pairs: Iterable[tuple[int, int]] = ((idx[u], idx[v]) for u, v in self._edges)
+            else:
+                pairs = zip(self._lo.tolist(), self._hi.tolist())
             self._bits = _bitmasks(len(self.vertices), pairs)
         return self._bits
 
     # -- equality and display ----------------------------------------------
+    #
+    # Below ID_CUTOFF edges a graph always holds its name pairs, from it on
+    # its id arrays; equal graphs have equal edge counts, so they compare
+    # and hash on the same form.
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.vertices == other.vertices
-            and np.array_equal(self._lo, other._lo)
-            and np.array_equal(self._hi, other._hi)
-        )
+        if self.vertices != other.vertices or self.num_edges != other.num_edges:
+            return False
+        if self.num_edges < ID_CUTOFF:
+            return self._edges == other._edges
+        return np.array_equal(self._lo, other._lo) and np.array_equal(self._hi, other._hi)
 
     def __hash__(self) -> int:
+        if self.num_edges < ID_CUTOFF:
+            return hash((self.vertices, self._edges))
         return hash((self.vertices, self._lo.tobytes(), self._hi.tobytes()))
 
     def __repr__(self) -> str:

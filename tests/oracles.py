@@ -70,6 +70,32 @@ def brute_spg_edges(
     return edges
 
 
+def brute_reduction(
+    graph: Graph, source: str, target: str
+) -> tuple[Graph, str, str, dict[str, str | None]]:
+    """The reduced graph, its two endpoints and the vertex map, read off
+    the geodesic list.
+
+    Keeps the vertices and edges of some geodesic, merges the two ends of
+    every edge that lies on all of them, and names each merged class by its
+    smallest vertex; an off-geodesic vertex maps to None.
+    """
+    geodesics = brute_geodesics(graph, source, target)
+    steps = [{frozenset(e) for e in zip(geo, geo[1:])} for geo in geodesics]
+    classes = {v: {v} for geo in geodesics for v in geo}
+    for u, v in set.intersection(*steps):
+        merged = classes[u] | classes[v]
+        for x in merged:
+            classes[x] = merged
+    image = {v: min(cls) for v, cls in classes.items()}
+    edges = set()
+    for u, v in set.union(*steps):
+        if image[u] != image[v]:
+            edges.add(tuple(sorted((image[u], image[v]))))
+    reduced = Graph(set(image.values()), edges)
+    return reduced, image[source], image[target], {v: image.get(v) for v in graph.vertices}
+
+
 def induced_cycle_sets(graph: Graph, length: int) -> set[frozenset[str]]:
     """Vertex sets of size ``length`` that induce exactly a cycle."""
     result: set[frozenset[str]] = set()

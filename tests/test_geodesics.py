@@ -32,7 +32,6 @@ from spgraphs.geodesics import (
     _build_dag_ids,
     _build_dag_names,
     _reduce_ids,
-    _reduce_names,
     count_spg_edges,
     geodesic_matrix,
 )
@@ -272,21 +271,20 @@ def test_count_of_a_large_box_is_exact_past_int64():
     assert count_geodesics(_build_dag_names(inst)) == want
 
 
-def _assert_same_reduction(inst):
-    by_names, by_ids = _both_dags(inst)
-    red = _reduce_names(by_names)
-    assert _reduce_ids(by_ids) == red
-    assert reduce_instance(inst) == red
-    return red
-
-
 @settings(max_examples=80, deadline=None)
 @given(strategies.instances(max_vertices=7))
-def test_id_and_name_paths_give_the_same_reduction(inst):
-    _assert_same_reduction(inst)
+def test_reduction_of_either_dag_matches_the_geodesic_oracle(inst):
+    graph, source, target, vertex_map = oracles.brute_reduction(
+        inst.graph, inst.source, inst.target
+    )
+    for red in (reduce_instance(inst), *map(_reduce_ids, _both_dags(inst))):
+        assert red.graph == graph
+        assert (red.source, red.target) == (source, target)
+        assert red.vertex_map == vertex_map
+        assert red.collapsed == (source == target)
 
 
-def test_id_and_name_paths_reduce_a_large_box_with_a_forced_tail():
+def test_reduction_of_either_dag_of_a_large_box_with_a_forced_tail():
     box = grid_base(GridSpec((6, 6, 6)))
     corner = box.target
     # a forced tail from the far corner, named below the corner, and a
@@ -296,11 +294,11 @@ def test_id_and_name_paths_reduce_a_large_box_with_a_forced_tail():
     edges = [*box.graph.edges, (corner, tail[0]), *zip(tail, tail[1:]), (middle, "x")]
     g = Graph([*box.graph.vertices, *tail, "x"], edges)
     assert g.num_edges >= ID_CUTOFF
-    red = _assert_same_reduction(BaseInstance(g, box.source, tail[-1]))
-    assert not red.collapsed
-    assert (red.source, red.target) == (box.source, "&t1")
-    assert red.graph == box.graph.relabel(
-        {v: "&t1" if v == corner else v for v in box.graph.vertices}
-    )
-    assert red.vertex_map["x"] is None
-    assert [v for v, w in red.vertex_map.items() if w == "&t1"] == [*tail, corner]
+    inst = BaseInstance(g, box.source, tail[-1])
+    merged = {v: "&t1" if v == corner else v for v in box.graph.vertices}
+    want_map = {**merged, **dict.fromkeys(tail, "&t1"), "x": None}
+    for red in (reduce_instance(inst), *map(_reduce_ids, _both_dags(inst))):
+        assert not red.collapsed
+        assert (red.source, red.target) == (box.source, "&t1")
+        assert red.graph == box.graph.relabel(merged)
+        assert red.vertex_map == want_map

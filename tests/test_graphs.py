@@ -264,6 +264,22 @@ def test_a_long_graph_is_stored_as_the_short_one_is():
     assert long != short
 
 
+def test_edge_ids_are_read_only_in_both_stored_forms():
+    short = Graph(["a", "b", "c"], [("c", "b"), ("a", "b")])
+    long = Graph(PREFIX_VERTICES, [tuple(e) for e in PREFIX_EDGES])
+    for g in (short, long):
+        before = hash(g)
+        lo, hi = g.edge_ids
+        for ids in (lo, hi):
+            with pytest.raises(ValueError):
+                ids[0] = ids[-1]
+        assert hash(g) == before
+        named = [(g.vertices[i], g.vertices[j]) for i, j in zip(lo.tolist(), hi.tolist())]
+        assert named == g.sorted_edges()
+        loaded = graph_from_edge_list("".join(f"{v} {u}\n" for u, v in named))
+        assert loaded == g and hash(loaded) == hash(g)
+
+
 def test_loading_an_instance_builds_no_name_view():
     for g in (graph_from_json(graph_to_json(hypercube_graph(5))),
               graph_from_edge_list("".join(f"p{i} p{i + 1}\n" for i in range(PREFIX)))):
