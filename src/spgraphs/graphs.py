@@ -251,7 +251,10 @@ class Graph:
         return _norm_edge(u, v) in self.edges
 
     def has_vertex(self, v: str) -> bool:
-        return v in self.index
+        # a graph stored as name pairs answers from adjacency, which every
+        # search over it reads anyway; one stored as ids from index, so
+        # loading a large graph builds no name view
+        return v in (self.adjacency if self._lo is None else self.index)
 
     def sorted_edges(self) -> list[tuple[str, str]]:
         if self._lo is None:

@@ -287,6 +287,14 @@ def test_loading_an_instance_builds_no_name_view():
         assert (g._adj, g._edges) == (None, None)
 
 
+def test_a_small_instance_checks_its_endpoints_on_adjacency():
+    # name-pair graphs need adjacency for every search; an index beside it
+    # would only cost memory
+    g = hypercube_graph(3)
+    BaseInstance(g, g.vertices[0], g.vertices[-1])
+    assert g._adj is not None and g._index is None
+
+
 EDGE_LIST_ERRORS = [
     ("a b\na b c\n", "line 2: expected 'u v', got 'a b c'"),
     ("a b\nb c\nb a\n", "line 3: duplicate edge ('b', 'a')"),
