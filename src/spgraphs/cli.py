@@ -15,7 +15,9 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .constructions import (
     complete_base,
@@ -37,11 +39,15 @@ from .geodesics import (
 )
 from .graphs import (
     BaseInstance,
+    Gather,
     GraphError,
+    Rows,
+    decimals,
     graph_fields,
     graph_from_edge_list,
     graph_from_json,
     graph_to_json,
+    join_rows,
     json_records,
     quote,
 )
@@ -51,11 +57,11 @@ from .grid import (
     NotInImageError,
     cayley_adjacent_transpositions,
     coord_name,
-    enumerate_sequences,
     grid_base,
     parse_move_sequence,
     phi,
     phi_inverse,
+    words_array,
 )
 from .isomorphism import IsomorphismSizeError
 from .patterns import DEFAULT_WORK_LIMIT, WorkLimitExceeded
@@ -141,6 +147,28 @@ def _instance_json(inst: BaseInstance | ReducedInstance, **extra: object) -> str
     return json_records({**fields, "graph": graph_fields(inst.graph), **extra}, sort_keys=True)
 
 
+def _vertex_map_rows(vertex_map: Mapping[str, str | None]) -> Rows:
+    """A reduction's vertex map as the members of a JSON object, keys
+    sorted, each name quoted once and an off-geodesic vertex mapped to
+    ``null``."""
+    keys = sorted(vertex_map)
+    code: dict[str | None, str] = dict(zip(keys, map(quote, keys)))
+    code[None] = "null"
+    images = [code[vertex_map[v]] for v in keys]
+    return Rows(len(keys), ([code[v] + ": " for v in keys], images), brackets="{}")
+
+
+def _word_listing(spec: GridSpec, words: np.ndarray) -> str:
+    """A word array as ``grid enum`` lists it: a ``count=`` line, then one
+    word per line as ``MoveSequence`` writes it, a digit string when the
+    grid has at most 9 axes and comma-separated otherwise."""
+    symbols = decimals(spec.m + 1)
+    spaced = symbols if spec.m <= 9 else [s + "," for s in symbols]
+    width = words.shape[1]
+    line = [Gather(spaced if p < width - 1 else symbols, words[:, p]) for p in range(width)]
+    return join_rows([f"count={len(words)}\n", Rows(len(words), (*line, "\n"))])
+
+
 def _report_exit(report: CheckReport) -> int:
     print(report)
     return 0 if report.passed else 1
@@ -175,9 +203,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     inst = load_instance(args.input, args.a, args.b)
     red = reduce_instance(inst)
     payload = _instance_json(
-        red,
-        collapsed=json.dumps(red.collapsed),
-        vertex_map={v: "null" if w is None else quote(w) for v, w in red.vertex_map.items()},
+        red, collapsed=json.dumps(red.collapsed), vertex_map=_vertex_map_rows(red.vertex_map)
     )
     _write_or_print(payload, args.out)
     return 0
@@ -259,10 +285,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
         return 0
     if sub == "enum":
         spec = _parse_dims(args.dims)
-        sequences = enumerate_sequences(spec, limit=args.limit)
-        print(f"count={len(sequences)}")
-        for ms in sequences:
-            print(ms)
+        count = spec.word_count()
+        if count > args.limit:
+            raise GeodesicOverflowError(count, args.limit)
+        sys.stdout.write(_word_listing(spec, words_array(spec)))
         return 0
     if sub == "base":
         spec = _parse_dims(args.dims)

@@ -102,6 +102,28 @@ class GeodesicDag:
         dist = self.dist_from_source
         return np.array([dist[v] for v in self.names], dtype=np.int64)
 
+    @cached_property
+    def _layer_order(self) -> tuple[list[int], list[int], list[int]]:
+        """Vertex ids layer by layer from the source, with the successor
+        lists of the ``csr`` as int lists."""
+        indptr, indices = self.csr
+        order, succ = _id_lists(len(self.names), np.argsort(self.levels, kind="stable"), indices)
+        return order, indptr.tolist(), succ
+
+    @cached_property
+    def _prefix_counts(self) -> list[int]:
+        """Number of geodesic prefixes from the source to each vertex id,
+        summed layer by layer in Python ints (the path counting of
+        Brandes, 2001), so exact at any count. Read only."""
+        order, indptr, indices = self._layer_order
+        ways = [0] * len(order)
+        ways[self.names.index(self.instance.source)] = 1
+        for v in order:
+            here = ways[v]
+            for w in indices[indptr[v]:indptr[v + 1]]:
+                ways[w] += here
+        return ways
+
 
 class _IdDag(GeodesicDag):
     """The DAG as the id path builds it: ``names``, ``csr`` and ``levels``
@@ -296,35 +318,13 @@ def count_geodesics(inst: BaseInstance | GeodesicDag) -> int:
     """
     dag = _as_dag(inst)
     if isinstance(dag, _IdDag):
-        return _prefix_counts(dag)[dag.names.index(dag.instance.target)]
+        return dag._prefix_counts[dag.names.index(dag.instance.target)]
     return paths_to_target(dag)[dag.instance.source]
-
-
-def _layer_order(dag: GeodesicDag) -> tuple[list[int], list[int], list[int]]:
-    """Vertex ids layer by layer from the source, with the successor lists
-    of the ``csr`` as int lists."""
-    indptr, indices = dag.csr
-    order, succ = _id_lists(len(dag.names), np.argsort(dag.levels, kind="stable"), indices)
-    return order, indptr.tolist(), succ
-
-
-def _prefix_counts(dag: GeodesicDag) -> list[int]:
-    """Number of geodesic prefixes from the source to each vertex id,
-    summed layer by layer in Python ints (the path counting of Brandes,
-    2001), so exact at any count."""
-    order, indptr, indices = _layer_order(dag)
-    ways = [0] * len(order)
-    ways[dag.names.index(dag.instance.source)] = 1
-    for v in order:
-        here = ways[v]
-        for w in indices[indptr[v]:indptr[v + 1]]:
-            ways[w] += here
-    return ways
 
 
 def _suffix_counts(dag: GeodesicDag) -> list[int]:
     """Number of geodesic suffixes from each vertex id to the target."""
-    order, indptr, indices = _layer_order(dag)
+    order, indptr, indices = dag._layer_order
     ways = [0] * len(order)
     ways[dag.names.index(dag.instance.target)] = 1
     for v in reversed(order):
@@ -440,7 +440,7 @@ def count_spg_edges(dag: GeodesicDag) -> int:
     key = np.repeat(y, degree) * n + indices[start + offset]
     pairs, middles = np.unique(key, return_counts=True)
     shared = middles > 1
-    prefixes, suffixes = _prefix_counts(dag), _suffix_counts(dag)
+    prefixes, suffixes = dag._prefix_counts, _suffix_counts(dag)
     return sum(
         math.comb(m, 2) * prefixes[ends // n] * suffixes[ends % n]
         for ends, m in zip(pairs[shared].tolist(), middles[shared].tolist())

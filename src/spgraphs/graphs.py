@@ -14,6 +14,15 @@ Edges are checked once: a self loop, an unknown vertex and a repeat of an
 earlier edge are refused, naming the first faulty edge in input order.
 Large inputs are checked on ids, in a few numpy passes (a sort of packed
 pair keys finds the repeats).
+
+Every large document the CLI writes (SpGraph JSON and DOT, graph JSON,
+instance and reduction JSON, the ``grid enum`` listing) goes through one
+column-wise writer, ``join_rows``. A document is a sequence of constant
+strings and ``Rows``: records given column by column, each column a
+constant separator or one string per record, such as names quoted once
+and gathered by id (``Gather``). The columns are interleaved into one
+list of pieces by strided slice assignment, and the document is joined
+once. ``json_records`` lays a JSON object out on it, one record per line.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii as quote
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -528,43 +537,156 @@ def hypercube_graph(k: int) -> Graph:
 # -- serialization ---------------------------------------------------------
 
 
+class Gather(NamedTuple):
+    """A column of ``Rows``: ``table[i]`` for every id ``i`` of ``ids``
+    (an int array), in order, such as names quoted once or decimal ids
+    from one shared ``decimals`` table. The writer makes the column only
+    when it reaches it, so one gathered column is alive at a time."""
+
+    table: Sequence[str]
+    ids: np.ndarray
+
+
+class Rows(NamedTuple):
+    """``count`` records laid out column by column: a record is its
+    columns in order, and ``sep`` stands between two records. A column is
+    a ``str``, the same in every record, a list of ``count`` strings, one
+    per record, or a ``Gather`` of ``count`` ids.
+
+    In ``json_records`` the records fill an array, or an object when
+    ``brackets`` is ``"{}"`` (each record a ``"key": value`` member), and
+    the writer sets ``sep`` itself.
+    """
+
+    count: int
+    columns: tuple[str | list[str] | Gather, ...]
+    sep: str = ""
+    brackets: str = "[]"
+
+
+def decimals(n: int) -> list[str]:
+    """The decimal strings of ``0..n-1``, a table to ``Gather`` ids from."""
+    return list(map(str, range(n)))
+
+
+def join_rows(parts: Iterable[str | Rows]) -> str:
+    """One document from constant strings and ``Rows``, joined once.
+
+    Every piece goes into one preallocated list, the pieces of a ``Rows``
+    placed a column at a time by strided slice assignment, so no string
+    is made per record and no tuple per row. Constant columns next to
+    each other are merged, and so are the last constant of a record,
+    ``sep`` and the first constant of the next.
+
+    >>> names = Gather(["a", "b"], np.array([1, 0, 1]))
+    >>> print(join_rows(["n=3\\n", Rows(3, ("[", decimals(3), "] ", names, ";"), "\\n")]))
+    n=3
+    [0] b;
+    [1] a;
+    [2] b;
+    """
+    layouts = [_row_layout(part if isinstance(part, Rows) else Rows(1, (part,)))
+               for part in parts if not isinstance(part, Rows) or part.count]
+    pieces = [""] * sum(1 + count * len(columns) for count, _, columns, _ in layouts)
+    at = 0
+    for count, lead, columns, tail in layouts:
+        stride = len(columns)
+        end = at + 1 + count * stride
+        pieces[at] = lead
+        for j, column in enumerate(columns):
+            if isinstance(column, str):
+                column = [column] * count
+            elif isinstance(column, Gather):
+                column = list(map(column.table.__getitem__, column.ids.tolist()))
+            pieces[at + 1 + j : end : stride] = column
+        pieces[end - 1] = tail
+        at = end
+    return "".join(pieces)
+
+
+def _row_layout(rows: Rows) -> tuple[int, str, list[str | list[str] | Gather], str]:
+    """The count, the leading constant, the columns of a record after it
+    (constants next to each other merged) and the trailing constant. The
+    last column is what stands between two records: the trailing
+    constant, ``sep`` and the leading one; after the last record the
+    trailing constant stands in its place."""
+    merged: list[str | list[str] | Gather] = [""]
+    for column in rows.columns:
+        if isinstance(column, str) and isinstance(merged[-1], str):
+            merged[-1] += column
+        else:
+            merged.append(column)
+    tail = merged.pop() if len(merged) > 1 and isinstance(merged[-1], str) else ""
+    lead = merged[0]
+    return rows.count, lead, [*merged[1:], tail + rows.sep + lead], tail
+
+
 def json_records(fields: dict[str, object], *, sort_keys: bool = False) -> str:
     """A JSON object laid out one record per line, ending in one newline.
 
-    A field value is a ``str`` holding one encoded JSON value, a ``list`` of
-    encoded records (an array, one record per line) or a ``dict`` of field
-    values (a nested object, one field per line). Containers are indented
-    as by ``json.dumps(..., indent=2)``; a record stays on its line, so
-    ``json.loads`` reads the same value either writer produced. Encode
-    strings with ``quote``, the escaping ``json.dumps`` itself applies.
+    A field value is a ``str`` holding one encoded JSON value, ``Rows``
+    (an array, or an object of members, one record per line) or a
+    ``dict`` of field values (a nested object, one field per line).
+    Containers are indented as by ``json.dumps(..., indent=2)``; a record
+    stays on its line, so ``json.loads`` reads the same value either
+    writer produced. Encode strings with ``quote``, the escaping
+    ``json.dumps`` itself applies. The document is joined once, by
+    ``join_rows``.
+
+    >>> names = [quote("a"), quote("b")]
+    >>> members = Rows(1, (names[:1], ": ", names[1:]), brackets="{}")
+    >>> print(json_records({"n": "2", "names": Rows(2, (names,)), "map": members}), end="")
+    {
+      "n": 2,
+      "names": [
+        "a",
+        "b"
+      ],
+      "map": {
+        "a": "b"
+      }
+    }
     """
-    return _json_value(fields, "", sort_keys) + "\n"
+    parts: list[str | Rows] = []
+    _json_parts(fields, "", sort_keys, parts)
+    parts.append("\n")
+    return join_rows(parts)
 
 
-def _json_value(value: object, pad: str, sort_keys: bool) -> str:
+def _json_parts(value: object, pad: str, sort_keys: bool, parts: list[str | Rows]) -> None:
     if isinstance(value, str):
-        return value
+        parts.append(value)
+        return
     inner = pad + "  "
-    if isinstance(value, dict):
-        keys = sorted(value) if sort_keys else value
-        items = [f"{quote(k)}: {_json_value(value[k], inner, sort_keys)}" for k in keys]
-        brackets = "{}"
-    else:
-        items, brackets = value, "[]"
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+    if isinstance(value, Rows):
+        if not value.count:
+            parts.append(value.brackets)
+            return
+        parts.append(f"{value.brackets[0]}\n{inner}")
+        parts.append(value._replace(sep=",\n" + inner))
+        parts.append(f"\n{pad}{value.brackets[1]}")
+        return
+    keys = sorted(value) if sort_keys else list(value)
+    if not keys:
+        parts.append("{}")
+        return
+    opening = "{"
+    for key in keys:
+        parts.append(f"{opening}\n{inner}{quote(key)}: ")
+        _json_parts(value[key], inner, sort_keys, parts)
+        opening = ","
+    parts.append(f"\n{pad}}}")
 
 
-def graph_fields(g: Graph) -> dict[str, list[str]]:
+def graph_fields(g: Graph) -> dict[str, Rows]:
     """The JSON fields of a graph: one record per vertex and per edge, the
-    edges written from their sorted id pairs with each name quoted once."""
+    edges gathered from their sorted id pairs with each name quoted once."""
     codes = list(map(quote, g.vertices))
-    code = np.array(codes, dtype=object)
     lo, hi = g.edge_ids
+    spaced = [code + ", " for code in codes]
     return {
-        "vertices": codes,
-        "edges": list(map("[{}, {}]".format, code[lo], code[hi])),
+        "vertices": Rows(len(codes), (codes,)),
+        "edges": Rows(lo.size, ("[", Gather(spaced, lo), Gather(codes, hi), "]")),
     }
 
 

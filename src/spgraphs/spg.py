@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -43,7 +45,17 @@ from .geodesics import (
     enumerate_geodesics,
     geodesic_matrix,
 )
-from .graphs import BaseInstance, Graph, _bitmasks, json_records, quote
+from .graphs import (
+    BaseInstance,
+    Graph,
+    Gather,
+    Rows,
+    _bitmasks,
+    decimals,
+    join_rows,
+    json_records,
+    quote,
+)
 
 # geodesic count from which build_spg takes the matrix path (see build_spg)
 MATRIX_CUTOFF = 100
@@ -417,18 +429,15 @@ def decompose_at_index(h: SpGraph, i: int) -> Decomposition:
 # -- serialization ---------------------------------------------------------
 
 
-def _geodesic_lines(
-    h: SpGraph, head: str, sep: str, tail: str, encode: Callable[[str], str]
-) -> list[str]:
-    """One line per geodesic: ``head``, its encoded vertices joined by
-    ``sep``, then ``tail``; ``{0}`` in ``head`` is the geodesic's index.
-    Each vertex name is encoded once and the lines are formatted column by
-    column."""
+def _name_columns(h: SpGraph, encode: Callable[[str], str], sep: str) -> list[Gather]:
+    """The geodesics as ``Rows`` columns, one per position: each vertex
+    name is encoded once, and every position but the last carries ``sep``
+    after its name."""
     names, rows = h.name_rows()
     codes = list(map(encode, names))
-    columns = [list(map(codes.__getitem__, col)) for col in rows.T.tolist()]
-    fmt = head + sep.join(f"{{{c}}}" for c in range(1, len(columns) + 1)) + tail
-    return list(map(fmt.format, range(len(rows)), *columns))
+    spaced = [code + sep for code in codes]
+    width = rows.shape[1]
+    return [Gather(spaced if p < width - 1 else codes, rows[:, p]) for p in range(width)]
 
 
 def spg_to_json(h: SpGraph) -> str:
@@ -448,31 +457,86 @@ def spg_to_json(h: SpGraph) -> str:
     }
     """
     u, w, pos = h.edge_arrays()
-    edge = '{{"u": {}, "w": {}, "index": {}}}'.format
+    ids = decimals(max(h.num_vertices, h.d or 0))
+    edges = ('{"u": ', Gather(ids, u), ', "w": ', Gather(ids, w), ', "index": ', Gather(ids, pos), "}")
     return json_records(
         {
-            "geodesics": _geodesic_lines(h, "[", ", ", "]", quote),
-            "edges": list(map(edge, u.tolist(), w.tolist(), pos.tolist())),
+            "geodesics": Rows(h.num_vertices, ("[", *_name_columns(h, quote, ", "), "]")),
+            "edges": Rows(u.size, edges),
         }
     )
 
 
 def spg_from_json(text: str) -> SpGraph:
+    """An SpGraph from its JSON, checked as ``SpGraph`` checks its
+    arguments. The edge records are checked in whole-list passes (see
+    ``_edge_columns``); when one fails, a pass over the records names the
+    first faulty one in input order, and ``SpGraph`` the first edge out
+    of range."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpgStructureError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "geodesics" not in payload or "edges" not in payload:
         raise SpgStructureError("SpGraph JSON needs 'geodesics' and 'edges'")
-    geodesics = payload["geodesics"]
-    if not isinstance(geodesics, list) or not all(
-        isinstance(g, list) and all(isinstance(x, str) for x in g) for g in geodesics
-    ):
+    geodesics, records = payload["geodesics"], payload["edges"]
+    # json.loads makes exact lists and strs, so exact type tests suffice
+    if type(geodesics) is not list or not set(map(type, geodesics)) <= {list} or not set(
+        map(type, chain.from_iterable(geodesics))
+    ) <= {str}:
         raise SpgStructureError("'geodesics' must be a list of vertex-id lists")
-    if not isinstance(payload["edges"], list):
+    if not isinstance(records, list):
         raise SpgStructureError("'edges' must be a list of edge records")
+    geodesics = list(map(tuple, geodesics))
+    columns = _edge_columns(records)
+    if columns is None or not _in_range(columns, geodesics):
+        return SpGraph(geodesics, _edge_index(records))
+    # the edges passed every check SpGraph makes; it checks the geodesics
+    h = SpGraph(geodesics, {})
+    lo, hi, pos, order = columns
+    h.edge_index = dict(zip(zip(lo.tolist(), hi.tolist()), pos.tolist()))
+    h._edges = (lo[order], hi[order], pos[order])
+    return h
+
+
+def _edge_columns(records: list) -> tuple[np.ndarray, ...] | None:
+    """The edge records as int64 arrays ``(lo, hi, index)``, each pair
+    ordered ``lo <= hi``, and the order that sorts the pairs; or None when
+    one of the whole-list passes fails: every record an object with the
+    fields u, w and index, every field an int that fits int64, and no
+    pair twice."""
+    try:
+        fields = [list(map(itemgetter(key), records)) for key in ("u", "w", "index")]
+        if not set(map(type, chain.from_iterable(fields))) <= {int}:
+            return None
+        u, w, pos = (np.array(field, dtype=np.int64) for field in fields)
+    except (TypeError, KeyError, OverflowError):
+        return None
+    lo, hi = np.minimum(u, w), np.maximum(u, w)
+    order = np.lexsort((hi, lo))
+    first, second = lo[order], hi[order]
+    if ((first[1:] == first[:-1]) & (second[1:] == second[:-1])).any():
+        return None
+    return lo, hi, pos, order
+
+
+def _in_range(columns: tuple[np.ndarray, ...], geodesics: list) -> bool:
+    """Whether every edge of ``_edge_columns`` joins two distinct
+    geodesics and has an interior difference index, with ``d`` read off
+    the first geodesic."""
+    lo, hi, pos, _ = columns
+    if not lo.size:
+        return True
+    d = len(geodesics[0]) - 1 if geodesics else 0
+    return bool(lo.min() >= 0 and hi.max() < len(geodesics) and (lo < hi).all()
+                and pos.min() >= 1 and pos.max() <= d - 1)
+
+
+def _edge_index(records: list) -> dict[tuple[int, int], int]:
+    """The edge records one by one, in input order, as ``SpGraph`` takes
+    them; the first faulty record raises."""
     edge_index: dict[tuple[int, int], int] = {}
-    for k, e in enumerate(payload["edges"]):
+    for k, e in enumerate(records):
         if not isinstance(e, dict) or not {"u", "w", "index"} <= set(e):
             raise SpgStructureError(f"edge #{k} needs fields u, w, index")
         u, w, pos = e["u"], e["w"], e["index"]
@@ -483,7 +547,7 @@ def spg_from_json(text: str) -> SpGraph:
         if (u, w) in edge_index:
             raise SpgStructureError(f"edge #{k} duplicates ({u}, {w})")
         edge_index[(u, w)] = pos
-    return SpGraph([tuple(g) for g in geodesics], edge_index)
+    return edge_index
 
 
 _PALETTE = (
@@ -504,12 +568,15 @@ def index_color(i: int) -> str:
 
 def spg_to_dot(h: SpGraph, name: str = "spg") -> str:
     """Graphviz source; edges are labeled and colored by difference index."""
-    style = {p: f'[label="{p}", color={quote(index_color(p))}];' for p in range(1, h.d or 0)}
+    n = h.num_vertices
     u, w, pos = h.edge_arrays()
-    lines = [f"graph {quote(name)} {{", "  node [shape=box, fontsize=10];"]
+    ids = decimals(max(n, h.d or 0))
+    styles = [f' [label="{p}", color={quote(index_color(p))}];\n' for p in range(h.d or 0)]
     # the label quotes the joined names, which is each name quoted inside
-    lines += _geodesic_lines(h, '  {0} [label="', " ", '"];', lambda v: quote(v)[1:-1])
-    styles = map(style.__getitem__, pos.tolist())
-    lines += map("  {} -- {} {}".format, u.tolist(), w.tolist(), styles)
-    lines.append("}\n")
-    return "\n".join(lines)
+    label = _name_columns(h, lambda v: quote(v)[1:-1], " ")
+    return join_rows([
+        f"graph {quote(name)} {{\n  node [shape=box, fontsize=10];\n",
+        Rows(n, ("  ", ids[:n], ' [label="', *label, '"];\n')),
+        Rows(u.size, ("  ", Gather(ids, u), " -- ", Gather(ids, w), Gather(styles, pos))),
+        "}\n",
+    ])

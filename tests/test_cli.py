@@ -5,24 +5,34 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from spgraphs import (
     BaseInstance,
     Graph,
+    GridSpec,
+    MoveSequence,
     SpGraph,
     build_spg,
+    complete_base,
     complete_bipartite_graph,
+    enumerate_sequences,
     graph_to_json,
+    grid_base,
     hypercube_base,
     hypercube_graph,
     index_color,
+    parallel_paths,
+    path_graph,
     reduce_instance,
     spg_from_json,
     spg_to_dot,
     spg_to_json,
 )
-from spgraphs.cli import main
+from spgraphs.cli import _vertex_map_rows, _word_listing, main
+from spgraphs.graphs import ID_CUTOFF, graph_fields, json_records
+from spgraphs.spg import MATRIX_CUTOFF
 
 
 @pytest.fixture()
@@ -660,3 +670,177 @@ def test_a_shuffled_box_file_is_counted_exactly_and_reduces_to_itself(capsys, tm
     assert payload["graph"] == {"vertices": sorted(vertices), "edges": sorted(map(sorted, edges))}
     assert payload["vertex_map"] == {v: v for v in vertices}
     assert (payload["source"], payload["target"], payload["collapsed"]) == ("0_0_0", corner, False)
+
+
+# -- byte identity of the column-wise writers -----------------------------------
+#
+# The references are built record by record with json.dumps: every record
+# on its own line, every container above the records indented as by
+# json.dumps(..., indent=2).
+
+ESCAPED_NAMES = ['q"', "b\\x", "t\x01ab", "é", "ü/ß", "sp ace"]
+RECORD_FIELDS = {"geodesics", "edges", "vertices", "vertex_map"}
+
+
+def _record_lines(payload, pad="", sort_keys=False):
+    inner = pad + "  "
+    keys = sorted(payload) if sort_keys else list(payload)
+    fields = []
+    for key in keys:
+        value = payload[key]
+        if key not in RECORD_FIELDS:
+            text = (_record_lines(value, inner, sort_keys) if isinstance(value, dict)
+                    else json.dumps(value))
+        elif isinstance(value, dict):
+            members = [f"{json.dumps(k)}: {json.dumps(value[k])}" for k in sorted(value)]
+            text = "{\n" + ",\n".join(inner + "  " + m for m in members) + f"\n{inner}}}"
+            text = text if members else "{}"
+        else:
+            records = [json.dumps(r) for r in value]
+            text = "[\n" + ",\n".join(inner + "  " + r for r in records) + f"\n{inner}]"
+            text = text if records else "[]"
+        fields.append(f"{inner}{json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + f"\n{pad}}}" if fields else "{}"
+
+
+def _reference(payload, sort_keys=False):
+    return _record_lines(payload, sort_keys=sort_keys) + "\n"
+
+
+def _dot_reference(h, name="spg"):
+    lines = [f"graph {json.dumps(name)} {{", "  node [shape=box, fontsize=10];"]
+    lines += [f"  {i} [label={json.dumps(' '.join(geo))}];" for i, geo in enumerate(h.geodesics)]
+    for i, j in h.sorted_edges():
+        pos = h.edge_index[(i, j)]
+        lines.append(f'  {i} -- {j} [label="{pos}", color={json.dumps(index_color(pos))}];')
+    return "\n".join(lines) + "\n}\n"
+
+
+def _escaped(g):
+    return g.relabel({v: v + ESCAPED_NAMES[k % len(ESCAPED_NAMES)] for k, v in enumerate(g.vertices)})
+
+
+def _k2_instance(q):
+    g = _escaped(complete_bipartite_graph(2, q))
+    return BaseInstance(g, g.vertices[0], g.vertices[1])
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        _k2_instance(3),
+        _k2_instance(MATRIX_CUTOFF - 1),  # the dict SpGraph
+        _k2_instance(MATRIX_CUTOFF),  # the array SpGraph
+        BaseInstance(Graph(["a", "m", 'z"'], [("a", "m"), ("m", 'z"')]), "a", 'z"'),  # one geodesic
+        _odd_instance(),
+    ],
+    ids=["k23", "below-matrix-cutoff", "at-matrix-cutoff", "one-geodesic", "odd-names"],
+)
+def test_spg_writers_match_json_dumps_byte_for_byte(inst):
+    h = build_spg(inst)
+    assert spg_to_json(h) == _reference(_old_spg(h))
+    assert spg_to_dot(h) == _dot_reference(h)
+    assert spg_to_dot(h, 'a "b"\\') == _dot_reference(h, 'a "b"\\')
+
+
+def test_lone_and_empty_spg_writers_match_json_dumps_byte_for_byte():
+    for h in (SpGraph((("a\x01",),), {}, 0), SpGraph((), {}, None)):
+        assert spg_to_json(h) == _reference(_old_spg(h))
+        assert spg_to_dot(h) == _dot_reference(h)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph([], []),
+        Graph(["x\x7f", "é"], []),  # no edges
+        _escaped(complete_bipartite_graph(2, ID_CUTOFF // 2 - 1)),  # stored as name pairs
+        _escaped(complete_bipartite_graph(2, ID_CUTOFF // 2)),  # stored as ids
+        _escaped(hypercube_graph(6)),
+    ],
+    ids=["no-vertices", "no-edges", "below-id-cutoff", "at-id-cutoff", "q6"],
+)
+def test_graph_json_matches_json_dumps_byte_for_byte(g):
+    assert graph_to_json(g) == _reference(_old_graph(g))
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        _odd_instance(),  # an off-geodesic vertex maps to null
+        _k2_instance(ID_CUTOFF // 2 - 1),
+        _k2_instance(ID_CUTOFF // 2 + 8),
+        grid_base(GridSpec((4, 4, 4))),
+        BaseInstance(path_graph(70), "0", "70"),  # collapses
+    ],
+    ids=["odd-names", "below-id-cutoff", "above-id-cutoff", "grid-4x4x4", "collapsed"],
+)
+def test_reduce_output_matches_json_dumps_byte_for_byte(capsys, tmp_path, inst):
+    path = tmp_path / "g.json"
+    path.write_text(graph_to_json(inst.graph))
+    code, out, _ = _run(capsys, ["reduce", "--in", str(path), "--a", inst.source, "--b", inst.target])
+    assert code == 0
+    red = reduce_instance(inst)
+    payload = {
+        "collapsed": red.collapsed,
+        "source": red.source,
+        "target": red.target,
+        "vertex_map": dict(red.vertex_map),
+        "graph": _old_graph(red.graph),
+    }
+    assert out == _reference(payload, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "argv, result",
+    [
+        (["construct", "hypercube", "4"], lambda: hypercube_base(4)),
+        (["construct", "complete", "13"], lambda: complete_base(13)),  # 78 edges
+        (["construct", "parallel", "3", "4"], lambda: parallel_paths(3, 4)),
+    ],
+    ids=["hypercube-4", "complete-13", "parallel-3-4"],
+)
+def test_construct_output_matches_json_dumps_byte_for_byte(capsys, argv, result):
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    result = result()
+    inst = result.instance
+    payload = {"source": inst.source, "target": inst.target, "name": result.name,
+               "graph": _old_graph(inst.graph)}
+    assert out == _reference(payload, sort_keys=True)
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (4, 4, 4)])
+def test_grid_base_output_matches_json_dumps_byte_for_byte(capsys, dims):
+    code, out, _ = _run(capsys, ["grid", "base", "--dims", ",".join(map(str, dims))])
+    assert code == 0
+    inst = grid_base(GridSpec(dims))
+    payload = {"source": inst.source, "target": inst.target, "graph": _old_graph(inst.graph)}
+    assert out == _reference(payload, sort_keys=True)
+
+
+def test_an_empty_vertex_map_is_an_empty_object():
+    assert json_records({"vertex_map": _vertex_map_rows({})}) == _reference({"vertex_map": {}})
+    assert json_records({"graph": graph_fields(Graph([], []))}) == _reference(
+        {"graph": {"vertices": [], "edges": []}}
+    )
+
+
+@pytest.mark.parametrize("dims", [(1,) * 8, (2, 1, 2), (3,)])
+def test_grid_enum_lists_the_words_as_move_sequences_do(capsys, dims):
+    code, out, _ = _run(capsys, ["grid", "enum", "--dims", ",".join(map(str, dims))])
+    assert code == 0
+    sequences = enumerate_sequences(GridSpec(dims))
+    assert out == f"count={len(sequences)}\n" + "".join(f"{ms}\n" for ms in sequences)
+
+
+def test_grid_enum_writes_commas_from_ten_axes_on():
+    # every grid with ten axes has at least 10! words, so list a few by hand
+    spec = GridSpec((1,) * 9 + (2,))
+    rows = [[10, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10], [9, 8, 7, 6, 5, 4, 3, 2, 1, 10, 10]]
+    words = np.array(rows, dtype=np.uint8)
+    expected = [str(MoveSequence(spec, row)) for row in rows]
+    assert expected[0] == "10,1,2,3,4,5,6,7,8,9,10"
+    assert _word_listing(spec, words) == "count=2\n" + "".join(f"{w}\n" for w in expected)
+    short = GridSpec((1, 2))
+    assert _word_listing(short, np.array([[2, 1, 2]], dtype=np.uint8)) == "count=1\n212\n"

@@ -302,3 +302,21 @@ def test_reduction_of_either_dag_of_a_large_box_with_a_forced_tail():
         assert (red.source, red.target) == (box.source, "&t1")
         assert red.graph == box.graph.relabel(merged)
         assert red.vertex_map == want_map
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3, 3)], ids=["dict dag", "id dag"])
+def test_a_grid_check_orders_the_layers_and_counts_prefixes_once(monkeypatch, dims):
+    # what _embed_grid asks of one DAG: the guarded count, then the edge count
+    from spgraphs import geodesics
+
+    dag = build_dag(grid_base(GridSpec(dims)))
+    calls = []
+    real = geodesics._id_lists
+    monkeypatch.setattr(geodesics, "_id_lists", lambda *a: calls.append(a) or real(*a))
+    count = geodesics.guarded_count(dag, 10**6)
+    edges = count_spg_edges(dag)
+    assert count == oracles.multinomial(dims)
+    assert edges == matrix_adjacency(geodesic_matrix(dag))[0].size
+    assert len(calls) == 1
+    assert count_spg_edges(dag) == edges and len(calls) == 1
+    assert dag._prefix_counts is dag._prefix_counts

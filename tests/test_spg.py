@@ -1,5 +1,7 @@
 """Tests for the shortest path graph container, adjacency, decomposition."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -308,3 +310,65 @@ def test_writers_of_empty_and_one_vertex_graphs():
     lone = SpGraph((("a",),), {}, 0)
     assert spg_to_json(lone) == '{\n  "geodesics": [\n    ["a"]\n  ],\n  "edges": []\n}\n'
     assert '  0 [label="a"];' in spg_to_dot(lone)
+
+
+def _q5_records():
+    h = build_spg(BaseInstance(hypercube_graph(5), "00000", "11111"))
+    payload = {"geodesics": [list(g) for g in h.geodesics],
+               "edges": [{"u": w, "w": u, "index": p} if k % 3 else {"u": u, "w": w, "index": p}
+                         for k, ((u, w), p) in enumerate(h.edge_index.items())]}
+    return h, payload
+
+
+def test_a_loaded_spg_keeps_the_records_in_input_order():
+    h, payload = _q5_records()
+    assert h.num_edges > 200
+    payload["edges"].reverse()
+    loaded = spg_from_json(json.dumps(payload))
+    assert list(loaded.edge_index) == [tuple(sorted((e["u"], e["w"]))) for e in payload["edges"]]
+    assert loaded.edge_index == h.edge_index
+    assert [a.tolist() for a in loaded.edge_arrays()] == [a.tolist() for a in h.edge_arrays()]
+    assert spg_to_dot(loaded) == spg_to_dot(h)
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (None, "edge #{k} needs fields u, w, index"),
+        ([0, 1, 1], "edge #{k} needs fields u, w, index"),
+        ({"u": 0, "w": 1}, "edge #{k} needs fields u, w, index"),
+        ({"u": 0, "w": True, "index": 1}, "edge #{k} fields must be integers"),
+        ({"u": 0, "w": 1.0, "index": 1}, "edge #{k} fields must be integers"),
+        ({"u": 3, "w": 0, "index": 2}, "edge #{k} duplicates (0, 3)"),
+        ({"u": 0, "w": 2**70, "index": 1}, "edge (0, 1180591620717411303424) out of range"),
+        ({"u": 5, "w": 5, "index": 1}, "edge (5, 5) out of range"),
+        ({"u": -1, "w": 5, "index": 1}, "edge (-1, 5) out of range"),
+        ({"u": 0, "w": 120, "index": 1}, "edge (0, 120) out of range"),
+        ({"u": 0, "w": 119, "index": 5}, "difference index 5 out of range for d=5"),
+        ({"u": 0, "w": 119, "index": -2**64}, "difference index -18446744073709551616"),
+    ],
+)
+@pytest.mark.parametrize("k", [0, 150, -1])
+def test_a_faulty_record_after_many_sound_ones_is_named(record, message, k):
+    h, payload = _q5_records()
+    edges = payload["edges"]
+    if "duplicates" in message:
+        # u=0, w=3 is an edge of the Q5 graph; drop it before the fault
+        edges[:] = [e for e in edges if {e["u"], e["w"]} != {0, 3}]
+        edges.insert(0, {"u": 0, "w": 3, "index": 2})
+    k = len(edges) if k == -1 else max(k, 1 if "duplicates" in message else 0)
+    edges.insert(k, record)
+    with pytest.raises(SpgStructureError) as info:
+        spg_from_json(json.dumps(payload))
+    assert str(info.value).startswith(message.format(k=k))
+
+
+def test_geodesic_faults_come_before_edges_out_of_range():
+    _, payload = _q5_records()
+    payload["edges"].append({"u": 0, "w": 999, "index": 1})
+    payload["geodesics"].append(list(payload["geodesics"][0]))
+    with pytest.raises(SpgStructureError, match="duplicate geodesic"):
+        spg_from_json(json.dumps(payload))
+    payload["geodesics"] = []
+    with pytest.raises(SpgStructureError, match="edges without geodesics"):
+        spg_from_json(json.dumps(payload))
