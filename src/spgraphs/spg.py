@@ -22,7 +22,8 @@ the dicts over name tuples are faster, above it the arrays. An SpGraph
 built from the arrays keeps them (vertex names, the int32 geodesic
 matrix and the edge arrays) and derives ``geodesics``, ``edge_index``
 and ``adjacency_bits`` only when asked; the JSON and DOT writers read
-the arrays of either form.
+the arrays of either form and write them column-wise through
+``graphs.join_rows``.
 """
 
 from __future__ import annotations
@@ -126,11 +127,11 @@ class SpGraph:
         one row per geodesic."""
         if self._rows is None:
             geos = self.geodesics
-            self._names = names = tuple(sorted({v for g in geos for v in g}))
-            rank = {v: k for k, v in enumerate(names)}
+            self._names = names = tuple(sorted(set(chain.from_iterable(geos))))
+            rank = dict(zip(names, range(len(names))))
             width = 0 if self.d is None else self.d + 1
-            rows = [[rank[v] for v in g] for g in geos]
-            self._rows = np.array(rows, dtype=np.int32).reshape(len(geos), width)
+            ids = map(rank.__getitem__, chain.from_iterable(geos))
+            self._rows = np.fromiter(ids, np.int32, len(geos) * width).reshape(len(geos), width)
         return self._names, self._rows
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -481,9 +482,8 @@ def spg_from_json(text: str) -> SpGraph:
         raise SpgStructureError("SpGraph JSON needs 'geodesics' and 'edges'")
     geodesics, records = payload["geodesics"], payload["edges"]
     # json.loads makes exact lists and strs, so exact type tests suffice
-    if type(geodesics) is not list or not set(map(type, geodesics)) <= {list} or not set(
-        map(type, chain.from_iterable(geodesics))
-    ) <= {str}:
+    if (type(geodesics) is not list or not set(map(type, geodesics)) <= {list}
+            or not set(map(type, chain.from_iterable(geodesics))) <= {str}):
         raise SpgStructureError("'geodesics' must be a list of vertex-id lists")
     if not isinstance(records, list):
         raise SpgStructureError("'edges' must be a list of edge records")

@@ -810,7 +810,7 @@ def test_construct_output_matches_json_dumps_byte_for_byte(capsys, argv, result)
     assert out == _reference(payload, sort_keys=True)
 
 
-@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (4, 4, 4)])
+@pytest.mark.parametrize("dims", [(1, 1), (1, 2), (4, 4, 4)], ids=["1x1", "1x2", "4x4x4"])
 def test_grid_base_output_matches_json_dumps_byte_for_byte(capsys, dims):
     code, out, _ = _run(capsys, ["grid", "base", "--dims", ",".join(map(str, dims))])
     assert code == 0
@@ -826,7 +826,7 @@ def test_an_empty_vertex_map_is_an_empty_object():
     )
 
 
-@pytest.mark.parametrize("dims", [(1,) * 8, (2, 1, 2), (3,)])
+@pytest.mark.parametrize("dims", [(1,) * 8, (2, 1, 2), (3,)], ids=["1^8", "2,1,2", "3"])
 def test_grid_enum_lists_the_words_as_move_sequences_do(capsys, dims):
     code, out, _ = _run(capsys, ["grid", "enum", "--dims", ",".join(map(str, dims))])
     assert code == 0

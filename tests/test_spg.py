@@ -345,6 +345,7 @@ def test_a_loaded_spg_keeps_the_records_in_input_order():
         ({"u": -1, "w": 5, "index": 1}, "edge (-1, 5) out of range"),
         ({"u": 0, "w": 120, "index": 1}, "edge (0, 120) out of range"),
         ({"u": 0, "w": 119, "index": 5}, "difference index 5 out of range for d=5"),
+        ({"u": 0, "w": 119, "index": 0}, "difference index 0 out of range for d=5"),
         ({"u": 0, "w": 119, "index": -2**64}, "difference index -18446744073709551616"),
     ],
 )
