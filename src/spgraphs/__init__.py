@@ -6,100 +6,37 @@ provides base-graph constructions with known outcomes (paths, complete
 graphs, cycles, hypercubes, sums of instances), embeds grid geodesics into
 integer lattices, and ships mechanical checkers for the structural
 theorems that govern all of it.
+
+The names below are the public API, the ones the README, the demos and
+the benchmark use; every other name is imported from its module.
 """
 
 from .graphs import (
     BaseInstance,
     Graph,
     GraphError,
-    cartesian_product,
     complete_bipartite_graph,
-    complete_graph,
     connected_components,
-    cycle_graph,
-    disjoint_union,
-    distances,
-    empty_graph,
     girth,
-    graph_from_edge_list,
-    graph_from_json,
-    graph_to_json,
-    hypercube_graph,
-    is_connected,
-    path_graph,
-    star_graph,
 )
-from .geodesics import (
-    DEFAULT_GEODESIC_LIMIT,
-    GeodesicDag,
-    GeodesicOverflowError,
-    NoGeodesicError,
-    ReducedInstance,
-    build_dag,
-    count_geodesics,
-    enumerate_geodesics,
-    iter_geodesics,
-    mandatory_edges,
-    paths_to_target,
-    reduce_instance,
-)
-from .isomorphism import (
-    DEFAULT_MAX_VERTICES,
-    IsomorphismSizeError,
-    canonical_form,
-    find_isomorphism,
-    is_isomorphic,
-    iso_invariant,
-)
-from .patterns import (
-    DEFAULT_WORK_LIMIT,
-    WorkLimitExceeded,
-    find_induced,
-    has_induced,
-)
-from .spg import (
-    Decomposition,
-    SpGraph,
-    SpgStructureError,
-    build_spg,
-    decompose_at_index,
-    difference_index,
-    difference_positions,
-    index_color,
-    spg_from_geodesics,
-    spg_from_json,
-    spg_of_reduced,
-    spg_to_dot,
-    spg_to_json,
-)
+from .geodesics import build_dag, count_geodesics, enumerate_geodesics, reduce_instance
+from .isomorphism import canonical_form, find_isomorphism
+from .patterns import has_induced
+from .spg import SpGraph, build_spg, spg_from_json, spg_to_dot, spg_to_json
 from .constructions import (
-    CASE_MATCHING,
-    CASE_OVERLAP,
-    CASE_THROUGH_X,
-    CASE_THROUGH_Y,
-    ConstructionResult,
-    TwoSumPrediction,
     complete_base,
     even_cycle_base,
-    extend_distance,
     hypercube_base,
     matches_prediction,
     odd_cycle_host_base,
     one_sum,
     parallel_paths,
     path_base,
-    predict_two_sum,
-    two_sum,
-    union_base,
 )
 from .grid import (
     GridSpec,
     LatticePoint,
-    MoveSequence,
-    NotInImageError,
-    TransitiveTournament,
     cayley_adjacent_transpositions,
-    coord_name,
     enumerate_sequences,
     grid_base,
     parse_move_sequence,
@@ -107,30 +44,18 @@ from .grid import (
     phi_batch,
     phi_inverse,
     staircase,
-    tournament_of,
     words_array,
 )
 from .verify import (
     CheckReport,
-    CheckRollup,
-    CorpusSummary,
     STANDARD_CHECKS,
     check_cayley,
-    check_claw_in_c4,
-    check_complete_iff_same_index,
-    check_decomposition,
-    check_girth5_classification,
     check_grid_embedding,
-    check_no_induced_c5,
-    check_odd_cycle_c4,
-    check_p3_c4,
     check_staircase,
     check_sum_theorems,
     check_tournament_bijection,
-    connected_graphs,
     enumerate_graphs,
     exhaustive_instances,
-    instance_label,
     random_instances,
     run_corpus,
 )
@@ -138,37 +63,18 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseInstance", "Graph", "GraphError", "cartesian_product",
-    "complete_bipartite_graph", "complete_graph", "connected_components",
-    "cycle_graph", "disjoint_union", "distances", "empty_graph", "girth",
-    "graph_from_edge_list", "graph_from_json", "graph_to_json",
-    "hypercube_graph", "is_connected", "path_graph", "star_graph",
-    "DEFAULT_GEODESIC_LIMIT", "GeodesicDag", "GeodesicOverflowError",
-    "NoGeodesicError", "ReducedInstance", "build_dag", "count_geodesics",
-    "enumerate_geodesics", "iter_geodesics", "mandatory_edges", "paths_to_target",
-    "reduce_instance",
-    "DEFAULT_MAX_VERTICES", "IsomorphismSizeError", "canonical_form",
-    "find_isomorphism", "is_isomorphic", "iso_invariant",
-    "DEFAULT_WORK_LIMIT", "WorkLimitExceeded", "find_induced", "has_induced",
-    "Decomposition", "SpGraph", "SpgStructureError", "build_spg",
-    "decompose_at_index", "difference_index", "difference_positions",
-    "index_color", "spg_from_geodesics", "spg_from_json", "spg_of_reduced",
-    "spg_to_dot", "spg_to_json",
-    "CASE_MATCHING", "CASE_OVERLAP", "CASE_THROUGH_X", "CASE_THROUGH_Y",
-    "ConstructionResult", "TwoSumPrediction", "complete_base", "even_cycle_base",
-    "extend_distance", "hypercube_base", "matches_prediction",
+    "BaseInstance", "Graph", "GraphError", "complete_bipartite_graph",
+    "connected_components", "girth",
+    "build_dag", "count_geodesics", "enumerate_geodesics", "reduce_instance",
+    "canonical_form", "find_isomorphism",
+    "has_induced",
+    "SpGraph", "build_spg", "spg_from_json", "spg_to_dot", "spg_to_json",
+    "complete_base", "even_cycle_base", "hypercube_base", "matches_prediction",
     "odd_cycle_host_base", "one_sum", "parallel_paths", "path_base",
-    "predict_two_sum", "two_sum", "union_base",
-    "GridSpec", "LatticePoint", "MoveSequence", "NotInImageError",
-    "TransitiveTournament", "cayley_adjacent_transpositions", "coord_name",
-    "enumerate_sequences", "grid_base",
-    "parse_move_sequence", "phi", "phi_batch", "phi_inverse", "staircase",
-    "tournament_of", "words_array",
-    "CheckReport", "CheckRollup", "CorpusSummary", "STANDARD_CHECKS",
-    "check_cayley", "check_claw_in_c4", "check_complete_iff_same_index",
-    "check_decomposition", "check_girth5_classification", "check_grid_embedding",
-    "check_no_induced_c5", "check_odd_cycle_c4", "check_p3_c4", "check_staircase",
-    "check_sum_theorems", "check_tournament_bijection", "connected_graphs",
-    "enumerate_graphs", "exhaustive_instances", "instance_label",
-    "random_instances", "run_corpus",
+    "GridSpec", "LatticePoint", "cayley_adjacent_transpositions",
+    "enumerate_sequences", "grid_base", "parse_move_sequence", "phi",
+    "phi_batch", "phi_inverse", "staircase", "words_array",
+    "CheckReport", "STANDARD_CHECKS", "check_cayley", "check_grid_embedding",
+    "check_staircase", "check_sum_theorems", "check_tournament_bijection",
+    "enumerate_graphs", "exhaustive_instances", "random_instances", "run_corpus",
 ]

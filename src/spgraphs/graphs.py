@@ -447,39 +447,6 @@ def girth(g: Graph | SpGraph) -> int | float:
     return best
 
 
-# -- products and unions ---------------------------------------------------
-
-
-def _product_vertex(u: str, v: str) -> str:
-    return f"({u},{v})"
-
-
-def cartesian_product(g1: Graph, g2: Graph) -> Graph:
-    """Cartesian graph product; copies of ``g2`` wired along edges of ``g1``.
-
-    >>> square = cartesian_product(path_graph(1), path_graph(1))
-    >>> square.num_vertices, square.num_edges
-    (4, 4)
-    """
-    verts = [_product_vertex(u, v) for u in g1.vertices for v in g2.vertices]
-    edges: list[tuple[str, str]] = []
-    for u in g1.vertices:
-        for x, y in g2.edges:
-            edges.append((_product_vertex(u, x), _product_vertex(u, y)))
-    for x, y in g1.edges:
-        for v in g2.vertices:
-            edges.append((_product_vertex(x, v), _product_vertex(y, v)))
-    return Graph(verts, edges)
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union with sides tagged ``L:`` and ``R:``."""
-    verts = [f"L:{v}" for v in g1.vertices] + [f"R:{v}" for v in g2.vertices]
-    edges = [(f"L:{u}", f"L:{v}") for u, v in g1.edges]
-    edges += [(f"R:{u}", f"R:{v}") for u, v in g2.edges]
-    return Graph(verts, edges)
-
-
 # -- named families --------------------------------------------------------
 
 

@@ -598,8 +598,8 @@ def check_grid_embedding(
     edge; and the grid's DAG must count as many shortest path graph edges
     as there are steps. The steps are distinct pairs, so they are all the
     edges: the correspondence is an isomorphism, certified rather than
-    searched for. A grid whose lattice points do not pack into one int64
-    (radix n_i + 1 per coordinate) raises GraphError.
+    searched for. Lattice points pack in radix n_i + 1 per coordinate, as
+    int64 codes when they fit and as Python ints when they do not (1x63).
     """
     return _embed_grid(spec, limit)[0]
 
@@ -715,8 +715,15 @@ def _lattice_edges(
     total = len(words)
     layout = spec.coordinate_layout()
     # coordinate (i, j, k) lies in 0..n_i, so radix n_i + 1 packs a point
-    mult = place_values([spec.dims[i - 1] + 1 for (i, j, k) in layout])
-    codes = np.zeros(total, dtype=np.int64)
+    radixes = [spec.dims[i - 1] + 1 for (i, j, k) in layout]
+    if math.prod(radixes) < 2**63:
+        mult = place_values(radixes)
+        codes = np.zeros(total, dtype=np.int64)
+    else:
+        # too wide for int64 (1x63 needs 2^63 codes): exact Python ints
+        mult = np.array([math.prod(radixes[c + 1:]) for c in range(len(radixes))], dtype=object)
+        codes = np.zeros(total, dtype=object)
+        cols = cols.astype(object)
     for col, place in zip(cols, mult):
         codes += col * place
     order = np.argsort(codes, kind="stable")
@@ -726,6 +733,9 @@ def _lattice_edges(
     if bool(dup.any()):
         r = int(np.nonzero(dup)[0][0])
         return f"embedding collides on words {int(order[r])} and {int(order[r + 1])}"
+    # int32 word numbers below 2**31 words halve every step end, and what
+    # the caller holds while the geodesic matrix is built
+    ends_of = order.astype(np.int32) if total < 2**31 else order
     # query from the lower end of each step only the points that can rise:
     # below the bound, so the raised coordinate carries into no other, and,
     # for k > 1, below coordinate k - 1
@@ -742,9 +752,11 @@ def _lattice_edges(
         qcodes = sorted_codes[at] + mult[c]
         pos = np.searchsorted(sorted_codes, qcodes)
         hit = sorted_codes[np.minimum(pos, total - 1)] == qcodes
-        steps.append((order[at[hit]], order[pos[hit]]))
+        steps.append((ends_of[at[hit]], ends_of[pos[hit]]))
     lu, lv = (np.concatenate(ends) for ends in zip(*steps))
-    del steps  # it would hold every step end a second time
+    # the step list would hold every end a second time, and the switch
+    # test below needs no sort: drop them before its intp copies
+    del steps, order, ends_of, sorted_codes
     # a step is a switch when its two words differ in exactly two positions
     # and those are adjacent: with equal symbol counts, the two symbols there
     # are swapped. Read one contiguous word column at a time
@@ -753,8 +765,10 @@ def _lattice_edges(
     differ = np.zeros(lu.size, dtype=np.int32)
     adjacent = np.zeros(lu.size, dtype=bool)
     before = None
+    # intp indices spare numpy a conversion at every gather
+    iu, iv = lu.astype(np.intp), lv.astype(np.intp)
     for col in wcols:
-        here = col[lu] != col[lv]
+        here = col[iu] != col[iv]
         differ += here
         if before is not None:
             adjacent |= before & here
@@ -768,9 +782,6 @@ def _lattice_edges(
     unequal = int(np.count_nonzero(wcols[1:] != wcols[:-1]))
     if 2 * lu.size != unequal:
         return f"{lu.size} lattice steps inside the image but {unequal // 2} word switches"
-    if total < 2**31:
-        # int32 halves what the caller holds while the geodesic matrix is built
-        lu, lv = lu.astype(np.int32), lv.astype(np.int32)
     return lu, lv
 
 

@@ -9,7 +9,8 @@ from itertools import combinations
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from spgraphs import BaseInstance, Graph, distances
+from spgraphs import BaseInstance, Graph
+from spgraphs.graphs import distances
 
 
 @st.composite

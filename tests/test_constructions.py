@@ -8,20 +8,12 @@ import strategies
 
 from spgraphs import (
     BaseInstance,
-    GeodesicOverflowError,
     Graph,
     GraphError,
-    NoGeodesicError,
     build_spg,
     complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
-    empty_graph,
     enumerate_geodesics,
     find_isomorphism,
-    hypercube_graph,
-    is_isomorphic,
-    path_graph,
 )
 from spgraphs.constructions import (
     CASE_MATCHING,
@@ -41,6 +33,9 @@ from spgraphs.constructions import (
     two_sum,
     union_base,
 )
+from spgraphs.geodesics import GeodesicOverflowError, NoGeodesicError
+from spgraphs.graphs import complete_graph, cycle_graph, empty_graph, hypercube_graph, path_graph
+from spgraphs.isomorphism import is_isomorphic
 from spgraphs.spg import difference_index
 
 

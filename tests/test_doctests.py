@@ -1,9 +1,14 @@
-"""Run the examples embedded in module docstrings."""
+"""Run the examples embedded in module docstrings and in the README, and
+hold the README's list of the public API to the package's exports."""
 
 import doctest
+import re
+import types
+from pathlib import Path
 
 import pytest
 
+import spgraphs
 import spgraphs.constructions
 import spgraphs.geodesics
 import spgraphs.graphs
@@ -12,6 +17,8 @@ import spgraphs.isomorphism
 import spgraphs.patterns
 import spgraphs.spg
 import spgraphs.verify
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MODULES = [
     spgraphs.graphs,
@@ -30,3 +37,27 @@ def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0
     assert result.attempted > 0
+
+
+def test_readme_examples():
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.failed == 0
+    assert result.attempted > 0
+
+
+def test_readme_names_every_export_under_its_module():
+    # the package binds its exports and its submodules, nothing else
+    bound = {
+        name for name, value in vars(spgraphs).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert bound == set(spgraphs.__all__)
+    section = README.read_text().split("## Public API", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for bullet in re.findall(r"^- `(spgraphs\.\w+)`: (.*?)(?=^- |\Z)", section, re.M | re.S):
+        module, names = bullet
+        for name in re.findall(r"`(\w+)`", names):
+            listed[name] = module
+    assert sorted(listed) == sorted(spgraphs.__all__)
+    for name, module in listed.items():
+        assert getattr(spgraphs, name) is getattr(getattr(spgraphs, module.split(".")[1]), name)

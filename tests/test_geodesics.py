@@ -4,40 +4,37 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
 import oracles
 import strategies
 from spgraphs import (
     BaseInstance,
-    GeodesicOverflowError,
     Graph,
     GraphError,
-    NoGeodesicError,
     build_dag,
     build_spg,
     complete_bipartite_graph,
     count_geodesics,
     enumerate_geodesics,
-    hypercube_graph,
-    is_isomorphic,
-    iter_geodesics,
-    mandatory_edges,
-    path_graph,
     reduce_instance,
-    spg_of_reduced,
 )
 from spgraphs.constructions import hypercube_base
 from spgraphs.geodesics import (
+    GeodesicOverflowError,
+    NoGeodesicError,
     _build_dag_ids,
     _build_dag_names,
     _reduce_ids,
     count_spg_edges,
     geodesic_matrix,
+    iter_geodesics,
+    mandatory_edges,
 )
-from spgraphs.graphs import ID_CUTOFF
+from spgraphs.graphs import ID_CUTOFF, hypercube_graph, path_graph
 from spgraphs.grid import GridSpec, grid_base
-from spgraphs.spg import matrix_adjacency
+from spgraphs.isomorphism import is_isomorphic
+from spgraphs.spg import matrix_adjacency, spg_of_reduced
 
 
 def _k23_instance() -> BaseInstance:

@@ -13,15 +13,16 @@ from spgraphs import (
     BaseInstance,
     Graph,
     GraphError,
-    cartesian_product,
     complete_bipartite_graph,
-    complete_graph,
     connected_components,
+    girth,
+)
+from spgraphs.graphs import (
+    ID_CUTOFF,
+    complete_graph,
     cycle_graph,
-    disjoint_union,
     distances,
     empty_graph,
-    girth,
     graph_from_edge_list,
     graph_from_json,
     graph_to_json,
@@ -30,7 +31,6 @@ from spgraphs import (
     path_graph,
     star_graph,
 )
-from spgraphs.graphs import ID_CUTOFF
 
 
 def test_construction_normalizes_and_sorts():
@@ -100,7 +100,7 @@ def test_distances_mark_unreachable_vertices():
 
 
 def test_connected_components_are_sorted():
-    g = disjoint_union(path_graph(2), complete_graph(1))
+    g = Graph(["R:0", "L:2", "L:1", "L:0"], [("L:0", "L:1"), ("L:1", "L:2")])
     comps = connected_components(g)
     assert comps == [("L:0", "L:1", "L:2"), ("R:0",)]
 
@@ -124,29 +124,6 @@ def test_girth_known_values(g, expected):
 @given(strategies.graphs(max_vertices=7))
 def test_girth_matches_subset_scan(g):
     assert girth(g) == oracles.brute_girth(g)
-
-
-def test_cartesian_product_of_two_short_paths():
-    grid = cartesian_product(path_graph(2), path_graph(2))
-    assert grid.num_vertices == 9
-    assert grid.num_edges == 12
-    assert grid.has_edge("(0,0)", "(0,1)")
-    assert grid.has_edge("(0,0)", "(1,0)")
-    assert not grid.has_edge("(0,0)", "(1,1)")
-
-
-@settings(max_examples=40, deadline=None)
-@given(strategies.graphs(max_vertices=5), strategies.graphs(max_vertices=5))
-def test_product_and_union_counts(g1, g2):
-    prod = cartesian_product(g1, g2)
-    assert prod.num_vertices == g1.num_vertices * g2.num_vertices
-    assert (
-        prod.num_edges
-        == g1.num_vertices * g2.num_edges + g2.num_vertices * g1.num_edges
-    )
-    union = disjoint_union(g1, g2)
-    assert union.num_vertices == g1.num_vertices + g2.num_vertices
-    assert union.num_edges == g1.num_edges + g2.num_edges
 
 
 def test_named_families_have_expected_shapes():

@@ -10,28 +10,25 @@ import pytest
 import oracles
 import strategies
 from spgraphs import (
-    GeodesicOverflowError,
     GraphError,
     GridSpec,
     LatticePoint,
-    MoveSequence,
-    NotInImageError,
-    TransitiveTournament,
     build_dag,
     build_spg,
     cayley_adjacent_transpositions,
-    cycle_graph,
     enumerate_sequences,
     grid_base,
-    is_isomorphic,
     parse_move_sequence,
     phi,
     phi_batch,
     phi_inverse,
     staircase,
-    tournament_of,
     words_array,
 )
+from spgraphs.geodesics import GeodesicOverflowError
+from spgraphs.graphs import cycle_graph
+from spgraphs.grid import MoveSequence, NotInImageError, TransitiveTournament, tournament_of
+from spgraphs.isomorphism import is_isomorphic
 
 
 def _words(dims):

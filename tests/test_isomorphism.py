@@ -9,24 +9,36 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
-from spgraphs import (
-    Graph,
+from spgraphs import Graph, canonical_form, complete_bipartite_graph, find_isomorphism
+from spgraphs.graphs import complete_graph, cycle_graph, empty_graph, path_graph, star_graph
+from spgraphs.isomorphism import (
     IsomorphismSizeError,
-    canonical_form,
-    cartesian_product,
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
-    find_isomorphism,
+    _canonical_code,
+    _leaf_paths,
     is_isomorphic,
     iso_invariant,
-    path_graph,
-    star_graph,
 )
-from spgraphs.isomorphism import _canonical_code, _leaf_paths
 from spgraphs.verify import enumerate_graphs
+
+
+# two triangles, a triangular prism (3-regular, like K_{3,3}), and a
+# triangle beside a square, with the names a disjoint union would give
+TWO_TRIANGLES = Graph(
+    ["L:0", "L:1", "L:2", "R:0", "R:1", "R:2"],
+    [("L:0", "L:1"), ("L:1", "L:2"), ("L:0", "L:2"),
+     ("R:0", "R:1"), ("R:1", "R:2"), ("R:0", "R:2")],
+)
+PRISM = Graph(
+    ["(0,0)", "(0,1)", "(1,0)", "(1,1)", "(2,0)", "(2,1)"],
+    [("(0,0)", "(0,1)"), ("(1,0)", "(1,1)"), ("(2,0)", "(2,1)"),
+     ("(0,0)", "(1,0)"), ("(1,0)", "(2,0)"), ("(0,0)", "(2,0)"),
+     ("(0,1)", "(1,1)"), ("(1,1)", "(2,1)"), ("(0,1)", "(2,1)")],
+)
+C3_C4 = Graph(
+    ["L:0", "L:1", "L:2", "R:0", "R:1", "R:2", "R:3"],
+    [("L:0", "L:1"), ("L:1", "L:2"), ("L:0", "L:2"),
+     ("R:0", "R:1"), ("R:1", "R:2"), ("R:2", "R:3"), ("R:0", "R:3")],
+)
 
 
 def _check_witness(g1: Graph, g2: Graph, mapping: dict) -> None:
@@ -39,10 +51,9 @@ def _check_witness(g1: Graph, g2: Graph, mapping: dict) -> None:
 
 def test_regular_but_not_isomorphic_pairs():
     # Both 2-regular on six vertices.
-    assert not is_isomorphic(cycle_graph(6), disjoint_union(complete_graph(3), complete_graph(3)))
+    assert not is_isomorphic(cycle_graph(6), TWO_TRIANGLES)
     # Both 3-regular on six vertices; the prism has triangles.
-    prism = cartesian_product(cycle_graph(3), path_graph(1))
-    assert not is_isomorphic(complete_bipartite_graph(3, 3), prism)
+    assert not is_isomorphic(complete_bipartite_graph(3, 3), PRISM)
 
 
 def test_witness_on_a_known_pair():
@@ -174,8 +185,7 @@ def test_canonical_form_tries_every_start_in_a_cell_refinement_cannot_split():
     # Every vertex of C3 + C4 has degree 2, so refinement leaves one cell,
     # and a triangle vertex and a square vertex lead to different leaves:
     # a search that individualized only one of them would depend on labels.
-    c3_c4 = disjoint_union(cycle_graph(3), cycle_graph(4))
-    for g in (c3_c4, _complement(c3_c4)):
+    for g in (C3_C4, _complement(C3_C4)):
         names = list(g.vertices)
         forms = {
             canonical_form(g.relabel(dict(zip(names, names[k:] + names[:k]))))
@@ -195,10 +205,8 @@ def test_canonical_form_names_every_class_on_seven_vertices():
 
 def test_canonical_form_separates_hard_pairs():
     c6 = cycle_graph(6)
-    two_triangles = disjoint_union(complete_graph(3), complete_graph(3))
-    assert canonical_form(c6) != canonical_form(two_triangles)
-    prism = cartesian_product(cycle_graph(3), path_graph(1))
-    assert canonical_form(complete_bipartite_graph(3, 3)) != canonical_form(prism)
+    assert canonical_form(c6) != canonical_form(TWO_TRIANGLES)
+    assert canonical_form(complete_bipartite_graph(3, 3)) != canonical_form(PRISM)
 
 
 def _complete_multipartite(*sides: int) -> Graph:

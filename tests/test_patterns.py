@@ -5,17 +5,9 @@ from hypothesis import given, settings
 
 import oracles
 import strategies
-from spgraphs import (
-    WorkLimitExceeded,
-    build_spg,
-    complete_graph,
-    connected_components,
-    cycle_graph,
-    find_induced,
-    girth,
-    has_induced,
-    star_graph,
-)
+from spgraphs import build_spg, connected_components, girth, has_induced
+from spgraphs.graphs import complete_graph, cycle_graph, star_graph
+from spgraphs.patterns import WorkLimitExceeded, find_induced
 from spgraphs.verify import enumerate_graphs
 
 

@@ -10,30 +10,31 @@ import oracles
 import strategies
 from spgraphs import (
     BaseInstance,
-    GeodesicOverflowError,
     Graph,
     SpGraph,
-    SpgStructureError,
     build_spg,
     complete_bipartite_graph,
-    cycle_graph,
-    decompose_at_index,
-    difference_index,
-    difference_positions,
     enumerate_geodesics,
-    index_color,
-    is_isomorphic,
-    spg_from_geodesics,
     spg_from_json,
     spg_to_dot,
     spg_to_json,
 )
 from spgraphs import spg
 from spgraphs.constructions import hypercube_base
-from spgraphs.geodesics import build_dag, geodesic_matrix
-from spgraphs.graphs import hypercube_graph
+from spgraphs.geodesics import GeodesicOverflowError, build_dag, geodesic_matrix
+from spgraphs.graphs import cycle_graph, hypercube_graph
 from spgraphs.grid import GridSpec, grid_base
-from spgraphs.spg import MATRIX_CUTOFF, matrix_adjacency
+from spgraphs.isomorphism import is_isomorphic
+from spgraphs.spg import (
+    MATRIX_CUTOFF,
+    SpgStructureError,
+    decompose_at_index,
+    difference_index,
+    difference_positions,
+    index_color,
+    matrix_adjacency,
+    spg_from_geodesics,
+)
 
 
 def test_spg_of_complete_bipartite_is_a_triangle():

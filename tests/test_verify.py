@@ -15,7 +15,6 @@ import pytest
 
 from spgraphs import (
     BaseInstance,
-    GeodesicOverflowError,
     Graph,
     GraphError,
     GridSpec,
@@ -28,8 +27,8 @@ from spgraphs.constructions import (
     even_cycle_base,
     hypercube_base,
     parallel_paths,
-    two_sum,
 )
+from spgraphs.geodesics import GeodesicOverflowError
 from spgraphs.verify import (
     CheckReport,
     CheckRollup,
@@ -39,8 +38,8 @@ from spgraphs.verify import (
     check_claw_in_c4,
     check_complete_iff_same_index,
     check_decomposition,
-    check_grid_embedding,
     check_girth5_classification,
+    check_grid_embedding,
     check_no_induced_c5,
     check_odd_cycle_c4,
     check_p3_c4,
@@ -242,7 +241,7 @@ def test_decomposition_with_instance_checks_products():
     at_two = check_decomposition(inst, 2)
     assert at_two.name == "decomposition@2"
     assert at_two.passed
-    from spgraphs import SpgStructureError
+    from spgraphs.spg import SpgStructureError
 
     with pytest.raises(SpgStructureError):
         check_decomposition(inst, 6)
@@ -507,10 +506,30 @@ def test_grid_embedding_check_respects_the_limit():
         check_grid_embedding(GridSpec((3, 3)), limit=10)
 
 
-def test_grid_embedding_check_refuses_lattice_points_too_wide_to_pack():
-    # 64 words is far under the limit, but 63 coordinates in 0..1 need 2^63 codes
-    with pytest.raises(GraphError, match="too wide to pack"):
-        check_grid_embedding(GridSpec((1, 63)))
+@pytest.mark.parametrize("dims, words, edges", [((1, 63), 64, 63), ((2, 40), 861, 1640)])
+def test_grid_embedding_check_packs_wide_lattice_points_exactly(dims, words, edges):
+    # 63 coordinates in 0..1 need 2^63 lattice codes and 40 in 0..2 need
+    # 3^40 > 2^63, so the codes are Python ints, not int64
+    report = check_grid_embedding(GridSpec(dims))
+    assert report.passed, report
+    assert (report.stats["words"], report.stats["edges"]) == (words, edges)
+
+
+@pytest.mark.parametrize(
+    "damage, witness",
+    [
+        (lambda c: np.concatenate([c[:1], c[:1], c[2:]]), "collides"),
+        (lambda c: c[[1, 0, *range(2, len(c))]], "is not a switch"),
+    ],
+)
+def test_wide_lattice_codes_still_catch_damage(monkeypatch, damage, witness):
+    import spgraphs.verify
+
+    real = spgraphs.verify.phi_batch
+    monkeypatch.setattr(spgraphs.verify, "phi_batch", lambda *args: damage(real(*args)))
+    report = check_grid_embedding(GridSpec((1, 63)))
+    assert not report.passed
+    assert witness in report.witness
 
 
 def _lower_one_coordinate(coords):
