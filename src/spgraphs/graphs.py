@@ -340,7 +340,7 @@ class Graph:
         return Graph(self.vertices, self.edges - {e})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BaseInstance:
     """A graph with two distinguished distinct endpoints."""
 

@@ -1,4 +1,4 @@
-"""Graph isomorphism: a canonical form, and a witness search.
+"""Graph isomorphism: a canonical form with automorphisms, and a witness search.
 
 Both walk one tree, after McKay & Piperno, *Practical Graph Isomorphism
 II* (2014): refine the ordered vertex partition until it is equitable
@@ -6,8 +6,13 @@ II* (2014): refine the ordered vertex partition until it is equitable
 and refine again, down to discrete leaves, each read as a vertex order.
 ``_leaf_paths`` walks it with an explicit stack, pruned only by twins.
 
-``canonical_form`` keeps the largest adjacency code over the leaves, so
-duplicates are removed by set membership (``verify.enumerate_graphs``).
+``_canonical_leaf`` keeps the largest adjacency code over the leaves and,
+on request, automorphisms: the map from the best leaf to each leaf whose
+code ties it, and the swap of each vertex with its smallest twin, which
+covers every subtree the prune cuts. They generate the automorphism group,
+which ``verify.enumerate_graphs`` uses to canonize one neighbourhood per
+orbit. ``canonical_form`` reads the code (``_canonical_code``), so
+duplicates are removed by set membership.
 ``find_isomorphism`` walks g2's tree against g1's first leaf and returns a
 bijection checked on the edges; it refuses graphs above ``max_vertices``
 (``DEFAULT_MAX_VERTICES`` = 200) with ``IsomorphismSizeError``. Both read
@@ -80,6 +85,25 @@ def _refine(bits: list[int], cells: list[int], splitters: list[int]) -> list[int
     return cells
 
 
+def _twin_reps(bits: list[int]) -> list[int]:
+    """For each vertex v of the graph with adjacency rows ``bits``, the
+    smallest twin of v: a vertex whose neighbourhood agrees with v's apart
+    from each other, v itself when there is none.
+
+    Twins of v have v's open neighbourhood (not adjacent to v) or its
+    closed one (adjacent); v cannot have both kinds, since a true twin x
+    of v would be adjacent to a false twin u of v (x is in N(v) = N(u)) and
+    then u would be in N[x] = N[v], which it is not. So twinship is an
+    equivalence, and swapping two twins is an automorphism.
+    """
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    return [
+        min(by_open.setdefault(row, v), by_closed.setdefault(row | 1 << v, v))
+        for v, row in enumerate(bits)
+    ]
+
+
 def _leaf_paths(
     bits: list[int], sizes: list[list[int]] | None = None
 ) -> Iterator[list[list[int]]]:
@@ -130,9 +154,12 @@ def _leaf_paths(
             stack.append(children(cells))
 
 
-def _canonical_code(bits: list[int]) -> int:
+def _canonical_leaf(
+    bits: list[int], *, automorphisms: bool = True
+) -> tuple[int, list[list[int]]]:
     """The largest adjacency code over the leaves of the individualization
-    tree of the graph with adjacency rows ``bits``.
+    tree of the graph with adjacency rows ``bits``, and generators of the
+    graph's automorphism group, each a list mapping vertex v to its image.
 
     A leaf is a discrete equitable partition, read as a vertex order; its
     code lists the upper triangle of the adjacency matrix in that order.
@@ -140,8 +167,16 @@ def _canonical_code(bits: list[int]) -> int:
     and its maximum, depend only on the isomorphism class, and the code
     determines the graph, so equal codes mean isomorphic graphs. A subtree
     cut by the twin prune has the codes of a kept one, leaf for leaf.
+
+    Two leaves with equal codes differ by an automorphism, and the
+    automorphisms map the best leaf onto each leaf with its code, one leaf
+    each. A pruned leaf is a kept one moved by twin swaps, so the maps from
+    the best leaf to the kept leaves that tie it, with the swap of each
+    vertex and its smallest twin (``_twin_reps``), generate the whole group.
+    Without ``automorphisms`` the list is empty and costs nothing.
     """
-    best = 0
+    n = len(bits)
+    best, best_order, generators = -1, [], []
     for path in _leaf_paths(bits):
         order = [cell.bit_length() - 1 for cell in path[-1]]
         code = 0
@@ -153,8 +188,26 @@ def _canonical_code(bits: list[int]) -> int:
             for w in rest:
                 r = r << 1 | (row >> w & 1)
             code = code << len(rest) | r
-        best = max(best, code)
-    return best
+        if code > best:
+            best, best_order, generators = code, order, []
+        elif code == best and automorphisms:
+            image = [0] * n
+            for v, w in zip(best_order, order):
+                image[v] = w
+            generators.append(image)
+    if automorphisms:
+        for w, u in enumerate(_twin_reps(bits)):
+            if u != w:
+                swap = list(range(n))
+                swap[u], swap[w] = w, u
+                generators.append(swap)
+    return best, generators
+
+
+def _canonical_code(bits: list[int]) -> int:
+    """The code of ``_canonical_leaf``: equal for two graphs exactly when
+    they are isomorphic."""
+    return _canonical_leaf(bits, automorphisms=False)[0]
 
 
 def canonical_form(g: Graph | SpGraph) -> tuple[int, int]:

@@ -62,7 +62,7 @@ from .grid import (
     tournament_of,
     words_array,
 )
-from .isomorphism import _canonical_code, find_isomorphism
+from .isomorphism import _canonical_code, _canonical_leaf, find_isomorphism
 from .patterns import find_induced, has_induced
 from .spg import (
     SpGraph,
@@ -422,11 +422,13 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """All simple graphs on exactly n vertices, one per isomorphism class.
 
     Builds up one vertex at a time: every graph on n vertices arises from
-    some graph on n-1 vertices by adding one vertex with some neighborhood,
-    so scanning all neighborhoods of all smaller classes is exhaustive.
-    Each candidate is kept when its canonical code (``canonical_form``,
-    refinement and individualization pruned only by twins) is new, so the
-    first candidate of each class is the one kept.
+    some graph g on n-1 vertices by adding one vertex with some neighborhood
+    mask, so scanning all masks of all smaller classes is exhaustive. An
+    automorphism of g maps a mask to one that gives an isomorphic graph, so
+    only the smallest mask of each orbit of Aut(g) (generators from
+    ``_canonical_leaf``) is canonized, after McKay, *Isomorph-free
+    exhaustive generation* (1998). It is kept when its canonical code is
+    new, so the first candidate of each class is the one kept.
 
     >>> [len(enumerate_graphs(n)) for n in range(1, 5)]
     [1, 2, 4, 11]
@@ -443,7 +445,26 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
         base = g.vertices
         bits = g.adjacency_bits
         edges = g.sorted_edges()
+        # each generator as the table of its images of all masks
+        moves = []
+        for perm in _canonical_leaf(bits)[1]:
+            images = [0]
+            for image in perm:
+                images += [m | 1 << image for m in images]
+            moves.append(images)
+        done = bytearray(2**top)
         for mask in range(2**top):
+            if done[mask]:
+                continue
+            # masks come in increasing order and each orbit is marked whole
+            # when first met, so mask is the smallest of its orbit
+            done[mask] = 1
+            orbit = [mask]
+            for m in orbit:
+                for images in moves:
+                    if not done[images[m]]:
+                        done[images[m]] = 1
+                        orbit.append(images[m])
             code = _canonical_code(
                 [b | (mask >> t & 1) << top for t, b in enumerate(bits)] + [mask]
             )

@@ -195,6 +195,17 @@ def brute_isomorphic(first: Graph, second: Graph) -> bool:
     return False
 
 
+def brute_automorphism_count(graph: Graph) -> int:
+    """Number of vertex permutations that map the edge set onto itself."""
+    edges = {frozenset(e) for e in graph.edges}
+    count = 0
+    for perm in permutations(graph.vertices):
+        mapping = dict(zip(graph.vertices, perm))
+        if all(frozenset((mapping[u], mapping[w])) in edges for u, w in graph.edges):
+            count += 1
+    return count
+
+
 def multinomial(dims: tuple[int, ...]) -> int:
     """Number of arrangements of a multiset with the given multiplicities."""
     total = math.factorial(sum(dims))

@@ -314,6 +314,7 @@ def test_base_instance_validation():
     g = path_graph(2)
     inst = BaseInstance(g, "0", "2")
     assert inst.source == "0" and inst.target == "2"
+    assert not hasattr(inst, "__dict__")  # the corpora hold tens of thousands
     with pytest.raises(GraphError):
         BaseInstance(g, "0", "0")
     with pytest.raises(GraphError):

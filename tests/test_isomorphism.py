@@ -14,6 +14,7 @@ from spgraphs.graphs import complete_graph, cycle_graph, empty_graph, path_graph
 from spgraphs.isomorphism import (
     IsomorphismSizeError,
     _canonical_code,
+    _canonical_leaf,
     _leaf_paths,
     is_isomorphic,
     iso_invariant,
@@ -244,3 +245,45 @@ def test_canonical_form_on_twin_rich_graphs(name):
         assert all(oracles.brute_isomorphic(members[0], h) for h in members[1:])
     for i, h1 in enumerate(firsts):
         assert not any(oracles.brute_isomorphic(h1, h2) for h2 in firsts[i + 1 :])
+
+
+# -- automorphisms --------------------------------------------------------------
+
+
+def _group_order(generators: list[list[int]], n: int) -> int:
+    """Order of the permutation group the generators generate, by closure."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    for element in frontier:
+        for perm in generators:
+            product = tuple(perm[v] for v in element)
+            if product not in group:
+                group.add(product)
+                frontier.append(product)
+    return len(group)
+
+
+def _check_automorphisms(g: Graph) -> None:
+    code, generators = _canonical_leaf(g.adjacency_bits)
+    assert code == _canonical_code(g.adjacency_bits)
+    names = g.vertices
+    for perm in generators:
+        assert sorted(perm) == list(range(len(names)))
+        mapping = {names[v]: names[w] for v, w in enumerate(perm)}
+        assert all(g.has_edge(mapping[u], mapping[w]) for u, w in g.edges)
+    assert _group_order(generators, len(names)) == oracles.brute_automorphism_count(g)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_canonical_leaf_generates_the_automorphism_group(n):
+    # every class on n vertices: each map keeps every edge, and the maps
+    # generate a group as large as the permutation scan's
+    for g in enumerate_graphs(n):
+        _check_automorphisms(g)
+
+
+@pytest.mark.parametrize("name", ["K3,4", "K2,2,3", "K1,6"])
+def test_canonical_leaf_generates_the_automorphism_group_of_twin_rich_graphs(name):
+    # here the twin swaps are most of the generators
+    _check_automorphisms(TWIN_RICH[name])
+    _check_automorphisms(_shuffled(TWIN_RICH[name], random.Random(name)))

@@ -443,6 +443,27 @@ def test_graph_class_counts_match_known_values():
         enumerate_graphs(0)
 
 
+def test_enumerate_graphs_canonizes_one_mask_per_orbit(monkeypatch):
+    # A class on n vertices is canonized once per orbit of its automorphism
+    # group on neighbourhood masks, that is once per rooted graph on n + 1
+    # vertices: 2, 6, 20, 90, 544 and 5,096 rooted graphs on 2..7 vertices
+    # (OEIS A000666).
+    import spgraphs.verify
+
+    calls = []
+    real = spgraphs.verify._canonical_code
+
+    def spy(bits):
+        calls.append(len(bits))
+        return real(bits)
+
+    monkeypatch.setattr(spgraphs.verify, "_canonical_code", spy)
+    enumerate_graphs.cache_clear()
+    assert len(enumerate_graphs(7)) == 1044
+    assert [calls.count(n) for n in range(2, 8)] == [2, 6, 20, 90, 544, 5096]
+    assert len(calls) == 5758
+
+
 def test_exhaustive_instances_cover_ordered_pairs():
     instances = list(exhaustive_instances(3))
     assert len(instances) == 14
