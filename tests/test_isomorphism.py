@@ -1,4 +1,5 @@
-"""Tests for the canonical form, the isomorphism search and its invariant."""
+"""Tests for the canonical form and its automorphisms, the isomorphism search
+and its invariant."""
 
 import random
 import sys
