@@ -8,13 +8,16 @@ paths are precisely the geodesics. Counting walks over that DAG with exact
 integers gives the geodesic count, and the edge count of the shortest path
 graph, without materializing any path.
 
-The DAG is built on one of two paths, chosen by the graph's edge count
-against ``graphs.ID_CUTOFF`` (see ``build_dag``). Small graphs take the
-dict path: BFS distance dicts over names and one test per name edge. Large
-ones take the id path: BFS over int neighbour lists, one array test of
-every edge id pair, and the successor lists read off directly; the count
-then runs layer by layer over ids. Both paths give the same DAG and count,
-and the reduction runs on the DAG's ids whichever path built it.
+The DAG is one class, ``GeodesicDag``, built on one of two paths chosen
+by the graph's edge count against ``graphs.ID_CUTOFF`` (see
+``build_dag``). Small graphs take the dict path: BFS distance dicts over
+names, one test per name edge, and the count summed over names. Large ones
+take the id path: BFS over int neighbour lists, one array test of every
+edge id pair, and the successor lists read off directly; the count then
+runs layer by layer over ids. Each path stores the fields it computed and
+the DAG derives every other field on first read, so both give the same
+DAG and count, and the reduction runs on the DAG's ids whichever path
+built it.
 
 The on-geodesic vertices at one distance from the source form a layer,
 and every geodesic passes through each layer once. An edge lies on every
@@ -33,13 +36,17 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .graphs import ID_CUTOFF, BaseInstance, Graph, distances
+from .graphs import ID_CUTOFF, BaseInstance, Graph, _name_pairs, distances
 
 Geodesic = tuple[str, ...]
+
+# int neighbour lists in the ``csr`` layout: (indptr, indices)
+_Lists = tuple[list[int], list[int]]
 
 DEFAULT_GEODESIC_LIMIT = 10**6
 
@@ -57,15 +64,45 @@ class GeodesicOverflowError(RuntimeError):
         self.limit = limit
 
 
-@dataclass(frozen=True)
 class GeodesicDag:
-    """All geodesic structure of one instance, edges oriented to the target."""
+    """All geodesic structure of one instance, edges oriented to the target.
+
+    A builder stores the fields it computed, and every other field is
+    derived from them on first read and kept: ``_build_dag_names`` stores
+    ``dist_from_source``, ``vertices``, ``edges`` and ``count``, and
+    ``_build_dag_ids`` stores ``names``, ``csr``, ``levels`` and ``_dist``
+    (the source distance of every graph vertex id, with the vertex count
+    for an unreached vertex). The DAG is immutable to callers.
+    """
 
     instance: BaseInstance
     d: int
-    dist_from_source: Mapping[str, int | float]
-    vertices: frozenset[str]
-    edges: frozenset[tuple[str, str]]
+
+    def __init__(self, instance: BaseInstance, d: int, **stored: object):
+        vars(self).update(stored, instance=instance, d=d)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set {name!r}: a GeodesicDag is immutable")
+
+    __delattr__ = __setattr__
+
+    @cached_property
+    def dist_from_source(self) -> dict[str, int | float]:
+        unreached = len(self._dist)
+        return {
+            v: math.inf if x == unreached else x
+            for v, x in zip(self.instance.graph.vertices, self._dist)
+        }
+
+    @cached_property
+    def vertices(self) -> frozenset[str]:
+        return frozenset(self.names)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        indptr, indices = self.csr
+        tail = np.repeat(np.arange(len(self.names)), np.diff(indptr))
+        return frozenset(_name_pairs(self.names, tail, indices))
 
     @cached_property
     def successors(self) -> dict[str, tuple[str, ...]]:
@@ -103,60 +140,44 @@ class GeodesicDag:
         return np.array([dist[v] for v in self.names], dtype=np.int64)
 
     @cached_property
-    def _layer_order(self) -> tuple[list[int], list[int], list[int]]:
+    def count(self) -> int:
+        """The number of geodesics, exact at any size."""
+        return self._prefix_counts[self.names.index(self.instance.target)]
+
+    @cached_property
+    def _layer_order(self) -> tuple[list[int], _Lists, _Lists]:
         """Vertex ids layer by layer from the source, with the successor
-        lists of the ``csr`` as int lists."""
+        and the predecessor lists of the ``csr`` as int lists."""
         indptr, indices = self.csr
-        order, succ = _id_lists(len(self.names), np.argsort(self.levels, kind="stable"), indices)
-        return order, indptr.tolist(), succ
+        k = len(self.names)
+        tail = np.repeat(np.arange(k), np.diff(indptr))
+        pred_ptr = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(indices, minlength=k), out=pred_ptr[1:])
+        pred = tail[np.argsort(indices, kind="stable")]
+        order, succ, pred = _id_lists(k, np.argsort(self.levels, kind="stable"), indices, pred)
+        return order, (indptr.tolist(), succ), (pred_ptr.tolist(), pred)
 
     @cached_property
     def _prefix_counts(self) -> list[int]:
-        """Number of geodesic prefixes from the source to each vertex id,
-        summed layer by layer in Python ints (the path counting of
-        Brandes, 2001), so exact at any count. Read only."""
-        order, indptr, indices = self._layer_order
-        ways = [0] * len(order)
-        ways[self.names.index(self.instance.source)] = 1
-        for v in order:
-            here = ways[v]
-            for w in indices[indptr[v]:indptr[v + 1]]:
-                ways[w] += here
-        return ways
+        """Number of geodesic prefixes from the source to each vertex id.
+        Read only."""
+        order, succ, _ = self._layer_order
+        return _path_counts(order, *succ, self.names.index(self.instance.source))
 
 
-class _IdDag(GeodesicDag):
-    """The DAG as the id path builds it: ``names``, ``csr`` and ``levels``
-    are stored, and the name fields are views made on first read.
-    ``dist`` holds the source distance of every graph vertex id, with the
-    vertex count for an unreached vertex."""
-
-    def __init__(
-        self, instance: BaseInstance, d: int, names: tuple[str, ...],
-        csr: tuple[np.ndarray, np.ndarray], levels: np.ndarray, dist: list[int],
-    ):
-        self.__dict__.update(
-            instance=instance, d=d, names=names, csr=csr, levels=levels, _dist=dist
-        )
-
-    @cached_property
-    def dist_from_source(self) -> dict[str, int | float]:  # type: ignore[override]
-        unreached = len(self._dist)
-        return {
-            v: math.inf if x == unreached else x
-            for v, x in zip(self.instance.graph.vertices, self._dist)
-        }
-
-    @cached_property
-    def vertices(self) -> frozenset[str]:  # type: ignore[override]
-        return frozenset(self.names)
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[str, str]]:  # type: ignore[override]
-        indptr, indices = self.csr
-        tail = np.repeat(np.arange(len(self.names)), np.diff(indptr))
-        name = self.names.__getitem__
-        return frozenset(zip(map(name, tail.tolist()), map(name, indices.tolist())))
+def _path_counts(order: list[int], indptr: list[int], indices: list[int], start: int) -> list[int]:
+    """Number of paths from ``start`` to each vertex id along the lists
+    ``(indptr, indices)``, visiting the ids in ``order``, where every id
+    comes after each id whose list holds it. The counts are pushed along
+    the lists in Python ints (the path counting of Brandes, 2001), so
+    exact at any count."""
+    ways = [0] * len(order)
+    ways[start] = 1
+    for v in order:
+        here = ways[v]
+        for w in indices[indptr[v]:indptr[v + 1]]:
+            ways[w] += here
+    return ways
 
 
 def build_dag(inst: BaseInstance) -> GeodesicDag:
@@ -197,29 +218,24 @@ def build_dag(inst: BaseInstance) -> GeodesicDag:
 
 
 def _build_dag_names(inst: BaseInstance) -> GeodesicDag:
-    """The DAG from BFS distance dicts over the vertex names."""
+    """The DAG from BFS distance dicts over the vertex names, with its
+    count summed over the name successors (``paths_to_target``)."""
     g = inst.graph
     dist_a = distances(g, inst.source)
     dist_b = distances(g, inst.target)
     d = dist_a[inst.target]
     if d == math.inf:
-        raise NoGeodesicError(
-            f"no path between {inst.source!r} and {inst.target!r}"
-        )
-    on_geo = frozenset(v for v in g.vertices if dist_a[v] + dist_b[v] == d)
+        raise NoGeodesicError(f"no path between {inst.source!r} and {inst.target!r}")
+    on = frozenset(v for v in g.vertices if dist_a[v] + dist_b[v] == d)
     edges = []
     for u, v in g.edges:
         if dist_a[u] + 1 + dist_b[v] == d:
             edges.append((u, v))
         elif dist_a[v] + 1 + dist_b[u] == d:
             edges.append((v, u))
-    return GeodesicDag(
-        instance=inst,
-        d=int(d),
-        dist_from_source=dist_a,
-        vertices=on_geo,
-        edges=frozenset(edges),
-    )
+    dag = GeodesicDag(inst, int(d), dist_from_source=dist_a, vertices=on, edges=frozenset(edges))
+    vars(dag)["count"] = paths_to_target(dag)[inst.source]
+    return dag
 
 
 def _id_lists(n: int, *arrays: np.ndarray) -> list[list[int]]:
@@ -266,9 +282,7 @@ def _build_dag_ids(inst: BaseInstance) -> GeodesicDag:
     dist = _bfs_ids(indptr, indices, source)
     d = dist[target]
     if d == n:
-        raise NoGeodesicError(
-            f"no path between {inst.source!r} and {inst.target!r}"
-        )
+        raise NoGeodesicError(f"no path between {inst.source!r} and {inst.target!r}")
     dist_a = np.array(dist, dtype=np.int64)
     dist_b = np.array(_bfs_ids(indptr, indices, target), dtype=np.int64)
     on = np.flatnonzero(dist_a + dist_b == d)
@@ -282,13 +296,13 @@ def _build_dag_ids(inst: BaseInstance) -> GeodesicDag:
     order = np.argsort(tail * on.size + head)
     succ_ptr = np.zeros(on.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=on.size), out=succ_ptr[1:])
-    return _IdDag(
+    return GeodesicDag(
         inst,
         d,
-        tuple(np.array(g.vertices, dtype=object)[on]),
-        (succ_ptr, head[order].astype(np.int32)),
-        dist_a[on],
-        dist,
+        names=tuple(np.array(g.vertices, dtype=object)[on]),
+        csr=(succ_ptr, head[order].astype(np.int32)),
+        levels=dist_a[on],
+        _dist=dist,
     )
 
 
@@ -298,12 +312,10 @@ def _as_dag(inst: BaseInstance | GeodesicDag) -> GeodesicDag:
 
 def paths_to_target(dag: GeodesicDag) -> dict[str, int]:
     """For each on-geodesic vertex, the number of geodesic continuations."""
-    order = sorted(dag.vertices, key=lambda v: -dag.dist_from_source[v])
+    target = dag.instance.target
     succ = dag.successors
-    ways: dict[str, int] = {dag.instance.target: 1}
-    for v in order:
-        if v == dag.instance.target:
-            continue
+    ways: dict[str, int] = {target: 1}
+    for v in sorted(dag.vertices - {target}, key=lambda v: -dag.dist_from_source[v]):
         ways[v] = sum(ways[w] for w in succ[v])
     return ways
 
@@ -316,20 +328,13 @@ def count_geodesics(inst: BaseInstance | GeodesicDag) -> int:
     >>> count_geodesics(BaseInstance(g, "a0", "a1"))
     3
     """
-    dag = _as_dag(inst)
-    if isinstance(dag, _IdDag):
-        return dag._prefix_counts[dag.names.index(dag.instance.target)]
-    return paths_to_target(dag)[dag.instance.source]
+    return _as_dag(inst).count
 
 
 def _suffix_counts(dag: GeodesicDag) -> list[int]:
     """Number of geodesic suffixes from each vertex id to the target."""
-    order, indptr, indices = dag._layer_order
-    ways = [0] * len(order)
-    ways[dag.names.index(dag.instance.target)] = 1
-    for v in reversed(order):
-        ways[v] += sum(map(ways.__getitem__, indices[indptr[v]:indptr[v + 1]]))
-    return ways
+    order, _, pred = dag._layer_order
+    return _path_counts(order[::-1], *pred, dag.names.index(dag.instance.target))
 
 
 def iter_geodesics(inst: BaseInstance | GeodesicDag) -> Iterator[Geodesic]:
@@ -447,14 +452,15 @@ def count_spg_edges(dag: GeodesicDag) -> int:
     )
 
 
-def _forced_runs(dag: GeodesicDag) -> Iterator[list[str]]:
-    """Maximal runs of consecutive one-vertex layers, each in path order."""
-    layers: list[list[str]] = [[] for _ in range(dag.d + 1)]
-    for v in dag.vertices:
-        layers[dag.dist_from_source[v]].append(v)
-    for alone, run in groupby(layers, key=lambda layer: len(layer) == 1):
-        if alone:
-            yield [v for (v,) in run]
+def _one_vertex_runs(dag: GeodesicDag) -> list[list[int]]:
+    """Maximal runs of consecutive one-vertex layers, as vertex ids in
+    path order, found from a count of the levels."""
+    levels = dag.levels
+    alone = (np.bincount(levels, minlength=dag.d + 1) == 1).tolist()
+    at_level = np.zeros(dag.d + 1, dtype=np.int64)
+    at_level[levels] = np.arange(levels.size)
+    layers = groupby(zip(alone, at_level.tolist()), key=itemgetter(0))
+    return [[v for _, v in run] for is_alone, run in layers if is_alone]
 
 
 def mandatory_edges(dag: GeodesicDag) -> frozenset[tuple[str, str]]:
@@ -468,7 +474,10 @@ def mandatory_edges(dag: GeodesicDag) -> frozenset[tuple[str, str]]:
     >>> sorted(mandatory_edges(build_dag(BaseInstance(g, "a", "b"))))
     [('c', 't'), ('t', 'b')]
     """
-    return frozenset(edge for run in _forced_runs(dag) for edge in zip(run, run[1:]))
+    name = dag.names
+    return frozenset(
+        (name[u], name[v]) for run in _one_vertex_runs(dag) for u, v in zip(run, run[1:])
+    )
 
 
 @dataclass(frozen=True)
@@ -505,24 +514,14 @@ def reduce_instance(inst: BaseInstance) -> ReducedInstance:
 
 
 def _reduce_ids(dag: GeodesicDag) -> ReducedInstance:
-    """The reduction on DAG ids: one-vertex layers from a count of the
-    levels, the contraction as an id map (ids follow name order, so a
-    run's smallest id is its smallest name), and the contracted edges
-    deduplicated on packed pair keys."""
+    """The reduction on DAG ids: the contraction as an id map (ids follow
+    name order, so a run's smallest id is its smallest name), and the
+    contracted edges deduplicated on packed pair keys."""
     inst, names = dag.instance, dag.names
     k = len(names)
-    levels = dag.levels
-    alone = (np.bincount(levels, minlength=dag.d + 1) == 1).tolist()
-    at_level = np.zeros(dag.d + 1, dtype=np.int64)
-    at_level[levels] = np.arange(k)
     image = np.arange(k)
-    start = 0
-    for is_alone, run in groupby(alone):
-        stop = start + len(list(run))
-        if is_alone:
-            ids = at_level[start:stop]
-            image[ids] = ids.min()
-        start = stop
+    for run in _one_vertex_runs(dag):
+        image[run] = min(run)
     indptr, indices = dag.csr
     iu = image[np.repeat(np.arange(k), np.diff(indptr))]
     iv = image[indices]

@@ -18,19 +18,20 @@ matrix (see ``geodesics.geodesic_matrix``): a key is two class ids packed
 in one int64, buckets are runs of equal keys after a sort, and all runs
 of one length are paired in one step. The grid-embedding check uses it,
 and so does ``build_spg`` from ``MATRIX_CUTOFF`` geodesics on: below it
-the dicts over name tuples are faster, above it the arrays. An SpGraph
-built from the arrays keeps them (vertex names, the int32 geodesic
-matrix and the edge arrays) and derives ``geodesics``, ``edge_index``
-and ``adjacency_bits`` only when asked; the JSON and DOT writers read
-the arrays of either form and write them column-wise through
-``graphs.join_rows``.
+the dicts over name tuples are faster, above it the arrays.
+
+``SpGraph`` is one class whatever built it: each builder stores the
+form it computed (the tuples, or the vertex names, the int32 geodesic
+matrix and the edge arrays), and the other form is derived on first
+read. The JSON and DOT writers read the arrays and write them
+column-wise through ``graphs.join_rows``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
@@ -77,15 +78,20 @@ class SpGraph:
     shape only, not for realizability, so theorem checkers can be fed
     deliberately broken inputs.
 
-    The writers read the array form: the vertex names with an int32
-    matrix of rows over them (``name_rows``) and the edge arrays
-    ``(u, w, pos)`` sorted by ``(u, w)`` (``edge_arrays``), which this
-    class derives from ``geodesics`` and ``edge_index`` on first use. The
-    large graphs of ``build_spg`` are built in the array form instead (see
-    ``_ArraySpGraph``).
+    The graph has two forms. The tuple form is ``geodesics`` and
+    ``edge_index``, which this constructor stores. The array form is the
+    vertex names with an int32 matrix of rows over them (``name_rows``)
+    and the edge arrays ``(u, w, pos)`` sorted by ``(u, w)``
+    (``edge_arrays``), which ``build_spg`` stores from ``MATRIX_CUTOFF``
+    geodesics on, and ``spg_from_json`` for the edges. Each of the four
+    is derived from the other form on first read and kept; the writers
+    read the array form.
     """
 
-    __slots__ = ("geodesics", "edge_index", "d", "_bits", "_names", "_rows", "_edges")
+    __slots__ = (
+        "d", "num_vertices", "num_edges",
+        "_geodesics", "_edge_index", "_names", "_rows", "_edges", "_bits",
+    )
 
     def __init__(
         self,
@@ -93,40 +99,61 @@ class SpGraph:
         edge_index: Mapping[tuple[int, int], int],
         d: int | None = None,
     ):
-        self.geodesics: tuple[Geodesic, ...] = tuple(tuple(g) for g in geodesics)
-        n = len(self.geodesics)
-        if self.geodesics:
-            lengths = {len(g) for g in self.geodesics}
-            if len(lengths) != 1:
-                raise SpgStructureError("geodesics must share one length")
-            inferred = lengths.pop() - 1
-            if d is not None and d != inferred:
-                raise SpgStructureError(f"stated d={d} but sequences have length {inferred + 1}")
-            self.d: int | None = inferred
-            if len(set(self.geodesics)) != n:
-                raise SpgStructureError("duplicate geodesic")
-        else:
-            if edge_index:
-                raise SpgStructureError("edges without geodesics")
-            self.d = d
+        geos, d = _checked_geodesics(geodesics, d)
+        n = len(geos)
+        if not geos and edge_index:
+            raise SpgStructureError("edges without geodesics")
         checked: dict[tuple[int, int], int] = {}
         for (i, j), pos in edge_index.items():
             if not (0 <= i < j < n):
                 raise SpgStructureError(f"edge ({i}, {j}) out of range")
-            if self.d is None or not (1 <= pos <= self.d - 1):
-                raise SpgStructureError(f"difference index {pos} out of range for d={self.d}")
+            if d is None or not (1 <= pos <= d - 1):
+                raise SpgStructureError(f"difference index {pos} out of range for d={d}")
             checked[(i, j)] = pos
-        self.edge_index: dict[tuple[int, int], int] = checked
+        self._store(d, geodesics=geos, edge_index=checked)
+
+    def _store(
+        self, d: int | None, *, geodesics: tuple[Geodesic, ...] | None = None,
+        edge_index: dict[tuple[int, int], int] | None = None,
+        names: tuple[str, ...] | None = None, rows: np.ndarray | None = None,
+        edges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        self.d = d
+        self.num_vertices: int = len(geodesics if rows is None else rows)
+        self.num_edges: int = len(edge_index) if edges is None else edges[0].size
+        self._geodesics, self._edge_index = geodesics, edge_index
+        self._names, self._rows, self._edges = names, rows, edges
         self._bits: list[int] | None = None
-        self._names: tuple[str, ...] | None = None
-        self._rows: np.ndarray | None = None
-        self._edges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def _trusted(cls, d: int | None, **stored: object) -> SpGraph:
+        """An SpGraph from sound parts, taken as they are: the geodesics or
+        the names and rows, and the edge index or the edge arrays (see
+        ``_store``)."""
+        h = cls.__new__(cls)
+        h._store(d, **stored)
+        return h
+
+    @property
+    def geodesics(self) -> tuple[Geodesic, ...]:
+        if self._geodesics is None:
+            names = self._names
+            rows = self._rows.tolist()
+            self._geodesics = tuple(tuple(map(names.__getitem__, row)) for row in rows)
+        return self._geodesics
+
+    @property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        if self._edge_index is None:
+            u, w, pos = self._edges
+            self._edge_index = dict(zip(zip(u.tolist(), w.tolist()), pos.tolist()))
+        return self._edge_index
 
     def name_rows(self) -> tuple[tuple[str, ...], np.ndarray]:
         """The sorted vertex names and an int32 matrix of ids into them,
         one row per geodesic."""
         if self._rows is None:
-            geos = self.geodesics
+            geos = self._geodesics
             self._names = names = tuple(sorted(set(chain.from_iterable(geos))))
             rank = dict(zip(names, range(len(names))))
             width = 0 if self.d is None else self.d + 1
@@ -137,22 +164,15 @@ class SpGraph:
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The edges as int64 arrays ``(u, w, pos)``, sorted by ``(u, w)``."""
         if self._edges is None:
-            keys = sorted(self.edge_index)
+            keys = sorted(self._edge_index)
             pairs = np.array(keys, dtype=np.int64).reshape(len(keys), 2)
-            pos = np.array([self.edge_index[k] for k in keys], dtype=np.int64)
+            pos = np.array([self._edge_index[k] for k in keys], dtype=np.int64)
             self._edges = (pairs[:, 0], pairs[:, 1], pos)
         return self._edges
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.geodesics)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edge_index)
-
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edge_index)
+        u, w, _ = self.edge_arrays()
+        return list(zip(u.tolist(), w.tolist()))
 
     @property
     def vertices(self) -> range:
@@ -162,7 +182,8 @@ class SpGraph:
     def adjacency_bits(self) -> list[int]:
         """Adjacency as one int bitmask per geodesic index."""
         if self._bits is None:
-            self._bits = _bitmasks(self.num_vertices, self.edge_index)
+            pairs = self.sorted_edges() if self._edge_index is None else self._edge_index
+            self._bits = _bitmasks(self.num_vertices, pairs)
         return self._bits
 
     def to_graph(self, prefix: str = "g") -> Graph:
@@ -174,62 +195,23 @@ class SpGraph:
         return f"SpGraph({self.num_vertices} geodesics, {self.num_edges} edges, d={self.d})"
 
 
-class _ArraySpGraph(SpGraph):
-    """The array form, as ``build_spg`` makes it from the geodesic matrix:
-    distinct sorted rows of ids into ``names`` and edges sorted by
-    ``(u, w)``, trusted and not validated. The counts, ``sorted_edges``
-    and ``adjacency_bits`` read the arrays; ``geodesics`` and
-    ``edge_index`` stay unset until first read. A class with
-    ``__getattr__`` reads every attribute more slowly, so only this
-    subclass has one and the many small graphs of the dict path do not.
-    """
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        names: tuple[str, ...],
-        rows: np.ndarray,
-        u: np.ndarray,
-        w: np.ndarray,
-        pos: np.ndarray,
-    ):
-        self.d = rows.shape[1] - 1
-        self._bits = None
-        self._names, self._rows, self._edges = names, rows, (u, w, pos)
-
-    def __getattr__(self, name: str) -> object:
-        """Reached only for an unset slot: derives ``geodesics`` or
-        ``edge_index`` from the arrays and keeps it in its slot."""
-        if name == "geodesics":
-            names = self._names
-            rows = self._rows.tolist()
-            value: object = tuple(tuple(map(names.__getitem__, row)) for row in rows)
-        elif name == "edge_index":
-            u, w, pos = self._edges
-            value = dict(zip(zip(u.tolist(), w.tolist()), pos.tolist()))
-        else:
-            raise AttributeError(f"'SpGraph' object has no attribute {name!r}")
-        setattr(self, name, value)
-        return value
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self._rows)
-
-    @property
-    def num_edges(self) -> int:
-        return self._edges[0].size
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        u, w, _ = self._edges
-        return list(zip(u.tolist(), w.tolist()))
-
-    @property
-    def adjacency_bits(self) -> list[int]:
-        if self._bits is None:
-            self._bits = _bitmasks(self.num_vertices, self.sorted_edges())
-        return self._bits
+def _checked_geodesics(
+    geodesics: Iterable[Geodesic], d: int | None
+) -> tuple[tuple[Geodesic, ...], int | None]:
+    """The geodesics as tuples and their distance, checked for one common
+    length that agrees with a stated ``d`` and for repeats."""
+    geos = tuple(tuple(g) for g in geodesics)
+    if not geos:
+        return geos, d
+    lengths = {len(g) for g in geos}
+    if len(lengths) != 1:
+        raise SpgStructureError("geodesics must share one length")
+    inferred = lengths.pop() - 1
+    if d is not None and d != inferred:
+        raise SpgStructureError(f"stated d={d} but sequences have length {inferred + 1}")
+    if len(set(geos)) != len(geos):
+        raise SpgStructureError("duplicate geodesic")
+    return geos, inferred
 
 
 def difference_positions(u: Geodesic, w: Geodesic) -> list[int]:
@@ -245,11 +227,9 @@ def difference_index(u: Geodesic, w: Geodesic) -> int | None:
     1
     >>> difference_index(("a", "x", "y", "b"), ("a", "u", "v", "b")) is None
     True"""
-    if len(u) != len(w):
-        raise SpgStructureError("geodesics of different lengths are incomparable")
+    diffs = difference_positions(u, w)
     if not u or u[0] != w[0] or u[-1] != w[-1]:
         raise SpgStructureError("geodesics must share both endpoints")
-    diffs = difference_positions(u, w)
     return diffs[0] if len(diffs) == 1 else None
 
 
@@ -302,7 +282,8 @@ def build_spg(
     matrix = geodesic_matrix(dag)
     u, w, pos = matrix_adjacency(matrix)
     order = np.lexsort((w, u))
-    return _ArraySpGraph(dag.names, matrix, u[order], w[order], pos[order])
+    edges = (u[order], w[order], pos[order])
+    return SpGraph._trusted(dag.d, names=dag.names, rows=matrix, edges=edges)
 
 
 def matrix_adjacency(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -361,10 +342,8 @@ def spg_from_geodesics(geodesics: list[Geodesic]) -> SpGraph:
         for i, geo in enumerate(geodesics):
             buckets.setdefault(geo[:pos] + geo[pos + 1 :], []).append(i)
         for members in buckets.values():
-            for a in range(len(members) - 1):
-                ia = members[a]
-                for b in range(a + 1, len(members)):
-                    edge_index[(ia, members[b])] = pos
+            for pair in combinations(members, 2):
+                edge_index[pair] = pos
     return SpGraph(geodesics, edge_index)
 
 
@@ -391,7 +370,6 @@ class Decomposition:
     cross_edges: tuple[tuple[int, int], ...]
 
 
-
 def decompose_at_index(h: SpGraph, i: int) -> Decomposition:
     """Split h at interior position i.
 
@@ -405,10 +383,7 @@ def decompose_at_index(h: SpGraph, i: int) -> Decomposition:
     for idx, geo in enumerate(h.geodesics):
         groups.setdefault(geo[i], []).append(idx)
     middles = tuple(sorted(groups))
-    group_id = {}
-    for k, v in enumerate(middles):
-        for idx in groups[v]:
-            group_id[idx] = k
+    group_id = {idx: k for k, v in enumerate(middles) for idx in groups[v]}
     cross = []
     for (u, w), pos in h.edge_index.items():
         crosses = group_id[u] != group_id[w]
@@ -487,16 +462,19 @@ def spg_from_json(text: str) -> SpGraph:
         raise SpgStructureError("'geodesics' must be a list of vertex-id lists")
     if not isinstance(records, list):
         raise SpgStructureError("'edges' must be a list of edge records")
-    geodesics = list(map(tuple, geodesics))
     columns = _edge_columns(records)
-    if columns is None or not _in_range(columns, geodesics):
+    if columns is None:
         return SpGraph(geodesics, _edge_index(records))
-    # the edges passed every check SpGraph makes; it checks the geodesics
-    h = SpGraph(geodesics, {})
     lo, hi, pos, order = columns
-    h.edge_index = dict(zip(zip(lo.tolist(), hi.tolist()), pos.tolist()))
-    h._edges = (lo[order], hi[order], pos[order])
-    return h
+    # the edge index in input order, as SpGraph keeps it
+    edge_index = dict(zip(zip(lo.tolist(), hi.tolist()), pos.tolist()))
+    geos, d = _checked_geodesics(geodesics, None)
+    if lo.size and not (lo.min() >= 0 and hi.max() < len(geos) and (lo < hi).all()
+                        and pos.min() >= 1 and pos.max() < d):
+        return SpGraph(geos, edge_index)  # names the first edge out of range
+    return SpGraph._trusted(
+        d, geodesics=geos, edge_index=edge_index, edges=(lo[order], hi[order], pos[order])
+    )
 
 
 def _edge_columns(records: list) -> tuple[np.ndarray, ...] | None:
@@ -518,18 +496,6 @@ def _edge_columns(records: list) -> tuple[np.ndarray, ...] | None:
     if ((first[1:] == first[:-1]) & (second[1:] == second[:-1])).any():
         return None
     return lo, hi, pos, order
-
-
-def _in_range(columns: tuple[np.ndarray, ...], geodesics: list) -> bool:
-    """Whether every edge of ``_edge_columns`` joins two distinct
-    geodesics and has an interior difference index, with ``d`` read off
-    the first geodesic."""
-    lo, hi, pos, _ = columns
-    if not lo.size:
-        return True
-    d = len(geodesics[0]) - 1 if geodesics else 0
-    return bool(lo.min() >= 0 and hi.max() < len(geodesics) and (lo < hi).all()
-                and pos.min() >= 1 and pos.max() <= d - 1)
 
 
 def _edge_index(records: list) -> dict[tuple[int, int], int]:

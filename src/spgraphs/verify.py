@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -125,14 +125,14 @@ def check_p3_c4(
     """Induced paths on three vertices whose two difference indices are at
     least two apart must sit inside an induced four-cycle."""
     h = _as_spg(obj, limit=limit)
-    masks = h.adjacency_bits
+    masks, edge_index = h.adjacency_bits, h.edge_index
     triples = 0
     for mid in h.vertices:
         for u, w in combinations(iter_bits(masks[mid]), 2):
             if masks[u] >> w & 1:
                 continue
-            iu = h.edge_index[(u, mid) if u < mid else (mid, u)]
-            iw = h.edge_index[(w, mid) if w < mid else (mid, w)]
+            iu = edge_index[(u, mid) if u < mid else (mid, u)]
+            iw = edge_index[(w, mid) if w < mid else (mid, w)]
             if abs(iu - iw) < 2:
                 continue
             triples += 1
@@ -255,8 +255,8 @@ def check_complete_iff_same_index(
     complete = h.num_edges == n * (n - 1) // 2
     same_index = True
     common: int | None = None
-    for u, w in combinations(range(n), 2):
-        diffs = difference_positions(h.geodesics[u], h.geodesics[w])
+    for u, w in combinations(h.geodesics, 2):
+        diffs = difference_positions(u, w)
         if len(diffs) != 1 or (common is not None and diffs[0] != common):
             same_index = False
             break
@@ -280,20 +280,19 @@ def _is_product(
     and its inner ``edges`` one to one onto the Cartesian product."""
     lpos = {geo: t for t, geo in enumerate(left.geodesics)}
     rpos = {geo: t for t, geo in enumerate(right.geodesics)}
-    pair = {
-        g: (lpos.get(h.geodesics[g][: i + 1]), rpos.get(h.geodesics[g][i:]))
-        for g in members
-    }
+    geos = h.geodesics
+    pair = {g: (lpos.get(geos[g][: i + 1]), rpos.get(geos[g][i:])) for g in members}
     # total, injective and onto the product's vertices
     cells = set(product(range(left.num_vertices), range(right.num_vertices)))
     if len(members) != len(cells) or set(pair.values()) != cells:
         return False
+    left_edges, right_edges = left.edge_index, right.edge_index
     for u, w in edges:
         (lu, ru), (lw, rw) = pair[u], pair[w]
         if lu == lw:
-            step = (min(ru, rw), max(ru, rw)) in right.edge_index
+            step = (min(ru, rw), max(ru, rw)) in right_edges
         else:
-            step = ru == rw and (min(lu, lw), max(lu, lw)) in left.edge_index
+            step = ru == rw and (min(lu, lw), max(lu, lw)) in left_edges
         if not step:
             return False
     # every inner edge is a product edge, so equal counts leave none missing
@@ -328,10 +327,7 @@ def check_decomposition(
             dec = decompose_at_index(h, idx)
         except SpgStructureError as exc:
             return CheckReport(name, False, str(exc), stats)
-        group_of = {}
-        for k, comp in enumerate(dec.components):
-            for vi in comp:
-                group_of[vi] = k
+        group_of = {vi: k for k, comp in enumerate(dec.components) for vi in comp}
         taken: set[tuple[int, int]] = set()
         for u, w in dec.cross_edges:
             for src, other in ((u, group_of[w]), (w, group_of[u])):
@@ -490,10 +486,8 @@ def exhaustive_instances(max_n: int) -> Iterator[BaseInstance]:
     every ordered endpoint pair."""
     for n in range(2, max_n + 1):
         for g in connected_graphs(n):
-            for a in g.vertices:
-                for b in g.vertices:
-                    if a != b:
-                        yield BaseInstance(g, a, b)
+            for a, b in permutations(g.vertices, 2):
+                yield BaseInstance(g, a, b)
 
 
 def random_instances(

@@ -398,6 +398,22 @@ def test_verify_spg_file(capsys, tmp_path):
     assert "no-induced-c5: FAIL" in out
 
 
+def test_verify_decomp_spg_file_checks_the_given_index(capsys, tmp_path):
+    h = build_spg(hypercube_base(3).instance)
+    good = tmp_path / "good.json"
+    good.write_text(spg_to_json(h))
+    code, out, _ = _run(capsys, ["verify", "decomp", "--spg", str(good), "--index", "2"])
+    assert (code, out) == (0, "decomposition@2: pass\n")
+
+    # the edge of index 1 relabelled 2: inconsistent with the grouping at 2
+    fake = SpGraph([("a", "x", "y", "b"), ("a", "z", "y", "b")], {(0, 1): 2})
+    bad = tmp_path / "bad.json"
+    bad.write_text(spg_to_json(fake))
+    code, out, _ = _run(capsys, ["verify", "decomp", "--spg", str(bad), "--index", "2"])
+    assert code == 1
+    assert out.startswith("decomposition@2: FAIL [edge (0, 1) with index 2 is inconsistent")
+
+
 def test_verify_corpus_flag_validation(capsys):
     code, _, err = _run(capsys, ["verify", "all"])
     assert code == 2

@@ -181,12 +181,9 @@ def _both_paths(inst, monkeypatch):
 
 
 def _derived(h, view):
-    """Whether an array-form SpGraph has filled the slot of a view yet."""
-    try:
-        getattr(SpGraph, view).__get__(h, SpGraph)
-    except AttributeError:
-        return False
-    return True
+    """Whether an array-form SpGraph has derived a view yet: reading the
+    property would derive it, so this reads the private field it fills."""
+    return getattr(h, f"_{view}") is not None
 
 
 def _assert_same_spg(by_dicts, by_matrix, *, bits=True):

@@ -9,6 +9,7 @@ that a correct shortest path graph could never produce.
 import hashlib
 import json
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from spgraphs.constructions import (
     parallel_paths,
 )
 from spgraphs.geodesics import GeodesicOverflowError
+from spgraphs.grid import MoveSequence
 from spgraphs.verify import (
     CheckReport,
     CheckRollup,
@@ -148,6 +150,13 @@ def test_odd_cycle_c4_fails_on_a_bare_seven_cycle():
     assert not report.passed
     assert report.stats["odd_cycle"] == 7
     assert "no induced four-cycle" in report.witness
+
+
+def test_odd_cycle_c4_passes_an_odd_cycle_beside_a_four_cycle():
+    report = check_odd_cycle_c4(_cycles_and_paths(("C", 5), ("C", 4)))
+    assert report.passed
+    assert report.witness is None
+    assert report.stats["odd_cycle"] == 5
 
 
 def test_girth5_classification_fails_on_a_star():
@@ -493,6 +502,26 @@ def test_run_corpus_aggregates():
         run_corpus([], checks=["nope"])
 
 
+def test_run_corpus_counts_a_failing_check_and_keeps_its_first_failure(monkeypatch):
+    instances = list(exhaustive_instances(4))
+    sizes = [build_spg(inst).num_vertices for inst in instances]
+    failing = [pos for pos, n in enumerate(sizes) if n == 2]
+    assert len(failing) >= 2
+
+    def fails_on_two_geodesics(h):
+        return CheckReport("p3-c4", h.num_vertices != 2, f"{h.num_vertices} geodesics")
+
+    monkeypatch.setitem(STANDARD_CHECKS, "p3-c4", fails_on_two_geodesics)
+    summary = run_corpus(instances, checks=["p3-c4", "no-induced-c5"])
+    p3, c5 = summary.rollups["p3-c4"], summary.rollups["no-induced-c5"]
+    assert not summary.passed
+    assert (p3.ran, p3.failed) == (len(instances), len(failing))
+    first = failing[0]
+    assert p3.first_failure == f"#{first} {instance_label(instances[first])}: 2 geodesics"
+    assert (c5.ran, c5.failed, c5.first_failure) == (len(instances), 0, None)
+    assert f"ran {len(instances):>6}  FAIL ({len(failing)})" in summary.table()
+
+
 def test_corpus_table_shows_failures():
     summary = CorpusSummary(
         1, {"p3-c4": CheckRollup(ran=1, failed=1, first_failure="#0 tiny: boom")}
@@ -710,6 +739,56 @@ def test_staircase_and_cayley_checks():
         assert check_staircase(n1, n2).passed
     assert check_cayley(3).passed
     assert check_tournament_bijection(3).passed
+
+
+@pytest.mark.parametrize(
+    "damage, witness",
+    [
+        ("lose an edge", "not isomorphic to the switch graph"),
+        ("gain a vertex", "vertex counts differ"),
+    ],
+)
+def test_cayley_check_fails_on_a_damaged_switch_graph(monkeypatch, damage, witness):
+    import spgraphs.verify
+
+    real = spgraphs.verify.cayley_adjacent_transpositions
+
+    def damaged(m, **kwargs):
+        cay = real(m, **kwargs)
+        if damage == "lose an edge":
+            return cay.without_edge(*cay.sorted_edges()[0])
+        return Graph([*cay.vertices, "extra"], cay.edges)
+
+    monkeypatch.setattr(spgraphs.verify, "cayley_adjacent_transpositions", damaged)
+    report = check_cayley(3)
+    assert not report.passed
+    assert report.witness == witness
+
+
+@pytest.mark.parametrize(
+    "damage, witness",
+    [
+        ("one ranking wrong", "ranking of (2, 1, 3) came back as (1, 2, 3)"),
+        ("one tournament for all", "two words share a tournament"),
+    ],
+)
+def test_tournament_check_fails_on_damaged_tournaments(monkeypatch, damage, witness):
+    import spgraphs.verify
+
+    real = spgraphs.verify.tournament_of
+
+    def damaged(ms):
+        if damage == "one ranking wrong":
+            # the word 213 gets the tournament of 123
+            word = (1, 2, 3) if ms.symbols == (2, 1, 3) else ms.symbols
+            return real(MoveSequence(ms.spec, word))
+        # every word ranks back to itself, but all share one orientation
+        return SimpleNamespace(ranking=lambda: ms.symbols, beats=())
+
+    monkeypatch.setattr(spgraphs.verify, "tournament_of", damaged)
+    report = check_tournament_bijection(3)
+    assert not report.passed
+    assert report.witness == witness
 
 
 @pytest.mark.parametrize(
