@@ -78,8 +78,10 @@ class GeodesicDag:
     instance: BaseInstance
     d: int
 
-    def __init__(self, instance: BaseInstance, d: int, **stored: object):
-        vars(self).update(stored, instance=instance, d=d)
+    def __init__(self, instance: BaseInstance, d: int, stored: dict[str, object]):
+        """``stored``, the builder's fields by name, becomes the attribute dict."""
+        stored.update(instance=instance, d=d)
+        object.__setattr__(self, "__dict__", stored)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot set {name!r}: a GeodesicDag is immutable")
@@ -233,7 +235,8 @@ def _build_dag_names(inst: BaseInstance) -> GeodesicDag:
             edges.append((u, v))
         elif dist_a[v] + 1 + dist_b[u] == d:
             edges.append((v, u))
-    dag = GeodesicDag(inst, int(d), dist_from_source=dist_a, vertices=on, edges=frozenset(edges))
+    stored = dict(dist_from_source=dist_a, vertices=on, edges=frozenset(edges))
+    dag = GeodesicDag(inst, int(d), stored)
     vars(dag)["count"] = paths_to_target(dag)[inst.source]
     return dag
 
@@ -296,14 +299,12 @@ def _build_dag_ids(inst: BaseInstance) -> GeodesicDag:
     order = np.argsort(tail * on.size + head)
     succ_ptr = np.zeros(on.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=on.size), out=succ_ptr[1:])
-    return GeodesicDag(
-        inst,
-        d,
+    return GeodesicDag(inst, d, dict(
         names=tuple(np.array(g.vertices, dtype=object)[on]),
         csr=(succ_ptr, head[order].astype(np.int32)),
         levels=dist_a[on],
         _dist=dist,
-    )
+    ))
 
 
 def _as_dag(inst: BaseInstance | GeodesicDag) -> GeodesicDag:
@@ -315,8 +316,8 @@ def paths_to_target(dag: GeodesicDag) -> dict[str, int]:
     target = dag.instance.target
     succ = dag.successors
     ways: dict[str, int] = {target: 1}
-    for v in sorted(dag.vertices - {target}, key=lambda v: -dag.dist_from_source[v]):
-        ways[v] = sum(ways[w] for w in succ[v])
+    for v in sorted(dag.vertices - {target}, key=dag.dist_from_source.__getitem__, reverse=True):
+        ways[v] = sum(map(ways.__getitem__, succ[v]))
     return ways
 
 

@@ -110,11 +110,11 @@ class SpGraph:
             if d is None or not (1 <= pos <= d - 1):
                 raise SpgStructureError(f"difference index {pos} out of range for d={d}")
             checked[(i, j)] = pos
-        self._store(d, geodesics=geos, edge_index=checked)
+        self._store(d, geos, checked)
 
     def _store(
-        self, d: int | None, *, geodesics: tuple[Geodesic, ...] | None = None,
-        edge_index: dict[tuple[int, int], int] | None = None,
+        self, d: int | None, geodesics: tuple[Geodesic, ...] | None = None,
+        edge_index: dict[tuple[int, int], int] | None = None, *,
         names: tuple[str, ...] | None = None, rows: np.ndarray | None = None,
         edges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
