@@ -15,6 +15,7 @@ from .graphs import (
     BaseInstance,
     Graph,
     GraphError,
+    SpgError,
     complete_bipartite_graph,
     connected_components,
     girth,
@@ -63,7 +64,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseInstance", "Graph", "GraphError", "complete_bipartite_graph",
+    "BaseInstance", "Graph", "GraphError", "SpgError", "complete_bipartite_graph",
     "connected_components", "girth",
     "build_dag", "count_geodesics", "enumerate_geodesics", "reduce_instance",
     "canonical_form", "find_isomorphism",

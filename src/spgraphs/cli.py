@@ -3,7 +3,8 @@ verify, export.
 
 Exit codes: 0 on success or a passing check, 1 when a check fails (the
 witness is printed), 2 on usage or input errors and when a resource guard
-(geodesic limit, work limit, isomorphism vertex cap) refuses the input.
+(geodesic limit, work limit, isomorphism vertex cap) refuses the input:
+the package's errors (``graphs.SpgError``) and file errors (``OSError``).
 Every run prints the limits (and seed, where one applies) on stderr, and
 output is deterministic for fixed flags and seed. The environment
 variable SPG_LIMIT overrides the default geodesic limit.
@@ -42,6 +43,7 @@ from .graphs import (
     Gather,
     GraphError,
     Rows,
+    SpgError,
     decimals,
     graph_fields,
     graph_from_edge_list,
@@ -49,6 +51,7 @@ from .graphs import (
     graph_to_json,
     join_rows,
     json_records,
+    parse_json,
     quote,
 )
 from .grid import (
@@ -63,10 +66,8 @@ from .grid import (
     phi_inverse,
     words_array,
 )
-from .isomorphism import IsomorphismSizeError
-from .patterns import DEFAULT_WORK_LIMIT, WorkLimitExceeded
+from .patterns import DEFAULT_WORK_LIMIT
 from .spg import (
-    SpgStructureError,
     build_spg,
     spg_from_json,
     spg_of_reduced,
@@ -119,16 +120,20 @@ def _banner(args: argparse.Namespace) -> None:
     )
 
 
+def _read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; other bytes are an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load_instance(path: str, source: str, target: str) -> BaseInstance:
     """Read a graph file (JSON or edge list, by content) into an instance."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        graph = graph_from_json(text)
-    else:
-        graph = graph_from_edge_list(text)
-    return BaseInstance(graph, source, target)
+    text = _read_text(path)
+    parse = graph_from_json if text.lstrip().startswith("{") else graph_from_edge_list
+    return BaseInstance(parse(text), source, target)
 
 
 def _write_or_print(payload: str, out: str | None) -> None:
@@ -169,9 +174,10 @@ def _word_listing(spec: GridSpec, words: np.ndarray) -> str:
     return join_rows([f"count={len(words)}\n", Rows(len(words), (*line, "\n"))])
 
 
-def _report_exit(report: CheckReport) -> int:
-    print(report)
-    return 0 if report.passed else 1
+def _report_exit(*reports: CheckReport) -> int:
+    for report in reports:
+        print(report)
+    return 0 if all(r.passed for r in reports) else 1
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -261,14 +267,15 @@ def _parse_dims(text: str) -> GridSpec:
 
 def cmd_grid(args: argparse.Namespace) -> int:
     sub = args.gridcmd
+    if sub == "staircase":
+        return _report_exit(check_staircase(args.n1, args.n2, limit=args.limit))
+    spec = _parse_dims(args.dims)
     if sub == "phi":
-        spec = _parse_dims(args.dims)
         ms = parse_move_sequence(spec, args.seq)
         point = phi(ms)
         print(coord_name(point.coords))
         return 0
     if sub == "unphi":
-        spec = _parse_dims(args.dims)
         try:
             coords = tuple(int(part) for part in args.coords.split(","))
         except ValueError as exc:
@@ -284,31 +291,23 @@ def cmd_grid(args: argparse.Namespace) -> int:
         print(ms)
         return 0
     if sub == "enum":
-        spec = _parse_dims(args.dims)
         count = spec.word_count()
         if count > args.limit:
             raise GeodesicOverflowError(count, args.limit)
         sys.stdout.write(_word_listing(spec, words_array(spec)))
         return 0
     if sub == "base":
-        spec = _parse_dims(args.dims)
         _write_or_print(_instance_json(grid_base(spec)), args.out)
         return 0
-    if sub == "staircase":
-        return _report_exit(check_staircase(args.n1, args.n2, limit=args.limit))
     if sub == "check":
-        spec = _parse_dims(args.dims)
         return _report_exit(check_grid_embedding(spec, limit=args.limit))
     raise GraphError(f"unknown grid subcommand {sub!r}")
 
 
 def cmd_cayley(args: argparse.Namespace) -> int:
     if args.check:
-        report = check_cayley(args.m, limit=args.limit)
-        print(report)
-        bijection = check_tournament_bijection(args.m)
-        print(bijection)
-        return 0 if report.passed and bijection.passed else 1
+        cayley = check_cayley(args.m, limit=args.limit)
+        return _report_exit(cayley, check_tournament_bijection(args.m))
     g = cayley_adjacent_transpositions(args.m, limit=args.limit)
     _write_or_print(graph_to_json(g), args.out)
     return 0
@@ -346,15 +345,12 @@ def _corpus_from_flag(args: argparse.Namespace) -> tuple[Iterable[BaseInstance],
         count, max_n, seed = _random_spec(flag, "random corpus spec is random:COUNT:MAXN:SEED")
         return random_instances(count, max_vertices=max_n, seed=seed), seed
     if kind == "file":
-        with open(rest, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        payload = parse_json(_read_text(rest))
         entries = payload if isinstance(payload, list) else [payload]
         out = []
         for entry in entries:
             if not isinstance(entry, dict) or {"graph", "source", "target"} - entry.keys():
-                raise GraphError(
-                    "corpus file entries need graph, source, and target fields"
-                )
+                raise GraphError("corpus file entries need graph, source, and target fields")
             if not isinstance(entry["source"], str) or not isinstance(entry["target"], str):
                 raise GraphError("corpus file entries need string source and target")
             graph = graph_from_json(json.dumps(entry["graph"]))
@@ -384,43 +380,25 @@ def _verify_sums(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.check == "sums":
         return _verify_sums(args)
+    # one selection: standard checks by name, and whether the decomposition runs
+    alias = CHECK_ALIASES.get(args.check)
+    checks = list(STANDARD_CHECKS) if args.check == "all" else [alias] if alias else []
+    decomposition = args.check in ("all", "decomp")
     if args.spg is not None:
         _banner(args)
-        with open(args.spg, "r", encoding="utf-8") as handle:
-            h = spg_from_json(handle.read())
-        if args.check == "all":
-            reports = [fn(h) for fn in STANDARD_CHECKS.values()]
-            reports.append(check_decomposition(h))
-        elif args.check == "decomp":
-            reports = [check_decomposition(h, args.index)]
-        else:
-            reports = [STANDARD_CHECKS[CHECK_ALIASES[args.check]](h)]
-        for report in reports:
-            print(report)
-        return 0 if all(r.passed for r in reports) else 1
+        h = spg_from_json(_read_text(args.spg))
+        reports = [STANDARD_CHECKS[name](h) for name in checks]
+        if decomposition:
+            reports.append(check_decomposition(h, args.index))
+        return _report_exit(*reports)
     instances, seed = _corpus_from_flag(args)
     args.seed_in_effect = seed
     _banner(args)
-    if args.check == "decomp":
-        failures = 0
-        total = 0
-        first = None
-        for inst in instances:
-            total += 1
-            report = check_decomposition(inst, args.index, limit=args.limit)
-            if not report.passed:
-                failures += 1
-                if first is None:
-                    first = report
-        print(f"decomposition: {total} instances, {failures} failures")
-        if first is not None:
-            print(first)
-        return 0 if failures == 0 else 1
-    checks = None if args.check == "all" else [CHECK_ALIASES[args.check]]
     summary = run_corpus(
         instances,
         checks=checks,
-        include_decomposition=args.check == "all",
+        include_decomposition=decomposition,
+        index=args.index,
         limit=args.limit,
     )
     print(summary.table())
@@ -429,8 +407,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    with open(args.spg, "r", encoding="utf-8") as handle:
-        h = spg_from_json(handle.read())
+    h = spg_from_json(_read_text(args.spg))
     _write_or_print(spg_to_dot(h, args.name), args.out)
     return 0
 
@@ -520,11 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run theorem checkers over a corpus")
     p.add_argument(
         "check",
-        choices=["all", "p3c4", "noc5", "claw", "oddcycle", "girth5", "complete", "decomp", "sums"],
+        choices=["all", *CHECK_ALIASES, "decomp", "sums"],
     )
     p.add_argument("--corpus", help="exhaustive:N | random:COUNT:MAXN:SEED | file:PATH")
     p.add_argument("--spg", help="check one SpGraph JSON file instead of a corpus")
-    p.add_argument("--index", type=int, default=None, help="decomp: only this position")
+    p.add_argument("--index", type=int, default=None, help="decomp, all: only this position")
     add_limit(p)
     p.set_defaults(func=cmd_verify)
 
@@ -544,23 +521,10 @@ def main(argv: list[str] | None = None) -> int:
         # subcommands without --limit still report the limit in effect
         if getattr(args, "limit", None) is None:
             args.limit = _default_limit()
-        if not hasattr(args, "seed_in_effect"):
-            args.seed_in_effect = None
-        if args.func not in (cmd_verify,):
+        if args.func is not cmd_verify:
             _banner(args)
         return args.func(args)
-    except (
-        GraphError,
-        SpgStructureError,
-        NoGeodesicError,
-        GeodesicOverflowError,
-        WorkLimitExceeded,
-        IsomorphismSizeError,
-        NotInImageError,
-        OSError,
-        KeyError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (SpgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

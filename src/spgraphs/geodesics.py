@@ -41,7 +41,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .graphs import ID_CUTOFF, BaseInstance, Graph, _name_pairs, distances
+from .graphs import ID_CUTOFF, BaseInstance, Graph, SpgError, _name_pairs, distances
 
 Geodesic = tuple[str, ...]
 
@@ -51,11 +51,11 @@ _Lists = tuple[list[int], list[int]]
 DEFAULT_GEODESIC_LIMIT = 10**6
 
 
-class NoGeodesicError(ValueError):
+class NoGeodesicError(SpgError, ValueError):
     """The two endpoints are not connected."""
 
 
-class GeodesicOverflowError(RuntimeError):
+class GeodesicOverflowError(SpgError, RuntimeError):
     """More geodesics than the caller's limit; carries the exact count."""
 
     def __init__(self, count: int, limit: int):
@@ -147,23 +147,27 @@ class GeodesicDag:
         return self._prefix_counts[self.names.index(self.instance.target)]
 
     @cached_property
-    def _layer_order(self) -> tuple[list[int], _Lists, _Lists]:
-        """Vertex ids layer by layer from the source, with the successor
-        and the predecessor lists of the ``csr`` as int lists."""
+    def _layer_order(self) -> tuple[list[int], _Lists]:
+        """Vertex ids layer by layer from the source, and the successor lists as int lists."""
+        indptr, indices = self.csr
+        order, succ = _id_lists(len(self.names), np.argsort(self.levels, kind="stable"), indices)
+        return order, (indptr.tolist(), succ)
+
+    @cached_property
+    def _predecessors(self) -> _Lists:
+        """The predecessor lists of the ``csr`` as int lists; only the edge
+        count reads them (``_suffix_counts``), a plain count does not."""
         indptr, indices = self.csr
         k = len(self.names)
         tail = np.repeat(np.arange(k), np.diff(indptr))
-        pred_ptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(np.bincount(indices, minlength=k), out=pred_ptr[1:])
-        pred = tail[np.argsort(indices, kind="stable")]
-        order, succ, pred = _id_lists(k, np.argsort(self.levels, kind="stable"), indices, pred)
-        return order, (indptr.tolist(), succ), (pred_ptr.tolist(), pred)
+        (pred,) = _id_lists(k, tail[np.argsort(indices, kind="stable")])
+        return [0, *np.cumsum(np.bincount(indices, minlength=k)).tolist()], pred
 
     @cached_property
     def _prefix_counts(self) -> list[int]:
         """Number of geodesic prefixes from the source to each vertex id.
         Read only."""
-        order, succ, _ = self._layer_order
+        order, succ = self._layer_order
         return _path_counts(order, *succ, self.names.index(self.instance.source))
 
 
@@ -334,8 +338,8 @@ def count_geodesics(inst: BaseInstance | GeodesicDag) -> int:
 
 def _suffix_counts(dag: GeodesicDag) -> list[int]:
     """Number of geodesic suffixes from each vertex id to the target."""
-    order, _, pred = dag._layer_order
-    return _path_counts(order[::-1], *pred, dag.names.index(dag.instance.target))
+    order, _ = dag._layer_order
+    return _path_counts(order[::-1], *dag._predecessors, dag.names.index(dag.instance.target))
 
 
 def iter_geodesics(inst: BaseInstance | GeodesicDag) -> Iterator[Geodesic]:

@@ -46,7 +46,12 @@ if TYPE_CHECKING:
 ID_CUTOFF = 64
 
 
-class GraphError(ValueError):
+class SpgError(Exception):
+    """Root of the errors for bad input and refused resource guards; each
+    subclass keeps its ValueError or RuntimeError base. The CLI exits 2."""
+
+
+class GraphError(SpgError, ValueError):
     """Malformed graph data (self loop, duplicate, unknown vertex)."""
 
 
@@ -661,11 +666,16 @@ def graph_to_json(g: Graph) -> str:
     return json_records(graph_fields(g))
 
 
-def graph_from_json(text: str) -> Graph:
+def parse_json(text: str, error: type[SpgError] = GraphError) -> object:
+    """The JSON value of ``text``; invalid JSON raises ``error``."""
     try:
-        payload = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise GraphError(f"invalid JSON: {exc}") from exc
+        raise error(f"invalid JSON: {exc}") from exc
+
+
+def graph_from_json(text: str) -> Graph:
+    payload = parse_json(text)
     if not isinstance(payload, dict):
         raise GraphError("graph JSON must be an object")
     for key in ("vertices", "edges"):

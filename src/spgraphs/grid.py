@@ -25,12 +25,12 @@ from typing import Sequence
 import numpy as np
 
 from .geodesics import GeodesicOverflowError, DEFAULT_GEODESIC_LIMIT
-from .graphs import BaseInstance, Graph, GraphError
+from .graphs import BaseInstance, Graph, GraphError, SpgError
 
 Word = tuple[int, ...]
 
 
-class NotInImageError(ValueError):
+class NotInImageError(SpgError, ValueError):
     """A lattice point that no word maps to."""
 
 

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, SpgError, iter_bits
 from .spg import SpGraph
 
 DEFAULT_MAX_VERTICES = 200
 
 
-class IsomorphismSizeError(ValueError):
+class IsomorphismSizeError(SpgError, ValueError):
     """Raised when an input exceeds the configured vertex cap."""
 
 

@@ -20,7 +20,7 @@ import re
 from itertools import combinations
 from typing import Iterator
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, GraphError, SpgError, iter_bits
 from .spg import SpGraph
 
 DEFAULT_WORK_LIMIT = 10**8
@@ -28,7 +28,7 @@ DEFAULT_WORK_LIMIT = 10**8
 _CYCLE_RE = re.compile(r"^C(\d+)$")
 
 
-class WorkLimitExceeded(RuntimeError):
+class WorkLimitExceeded(SpgError, RuntimeError):
     def __init__(self, pattern: str, limit: int):
         super().__init__(f"work limit {limit} exceeded while searching for {pattern}")
         self.pattern = pattern
@@ -87,10 +87,10 @@ def _search(g: Graph | SpGraph, pattern: str, work_limit: int) -> Iterator[tuple
         return _induced_claws(bits, budget)
     match = _CYCLE_RE.match(pattern)
     if not match:
-        raise ValueError(f"unknown pattern {pattern!r}")
+        raise GraphError(f"unknown pattern {pattern!r}")
     k = int(match.group(1))
     if k < 3:
-        raise ValueError("cycles need k >= 3")
+        raise GraphError("cycles need k >= 3")
     return _triangles(bits, budget) if k == 3 else _induced_cycles(bits, k, budget)
 
 

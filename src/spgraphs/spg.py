@@ -29,7 +29,6 @@ column-wise through ``graphs.join_rows``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain, combinations
 from operator import itemgetter
@@ -52,10 +51,12 @@ from .graphs import (
     Graph,
     Gather,
     Rows,
+    SpgError,
     _bitmasks,
     decimals,
     join_rows,
     json_records,
+    parse_json,
     quote,
 )
 
@@ -63,7 +64,7 @@ from .graphs import (
 MATRIX_CUTOFF = 100
 
 
-class SpgStructureError(ValueError):
+class SpgStructureError(SpgError, ValueError):
     """An SpGraph-shaped object violates a structural requirement."""
 
 
@@ -449,10 +450,7 @@ def spg_from_json(text: str) -> SpGraph:
     ``_edge_columns``); when one fails, a pass over the records names the
     first faulty one in input order, and ``SpGraph`` the first edge out
     of range."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpgStructureError(f"invalid JSON: {exc}") from exc
+    payload = parse_json(text, SpgStructureError)
     if not isinstance(payload, dict) or "geodesics" not in payload or "edges" not in payload:
         raise SpgStructureError("SpGraph JSON needs 'geodesics' and 'edges'")
     geodesics, records = payload["geodesics"], payload["edges"]

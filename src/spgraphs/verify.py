@@ -318,10 +318,10 @@ def check_decomposition(
     h = _as_spg(obj, limit=limit)
     name = "decomposition" if i is None else f"decomposition@{i}"
     stats: dict[str, object] = {"indices": 0, "products": 0}
+    if i is not None and not 1 <= i < (h.d or 0):
+        raise SpgStructureError(f"index {i} is not interior for d={h.d}")
     if h.num_vertices == 0 or h.d is None or h.d < 2:
         return CheckReport(name, True, None, stats)
-    if i is not None and not 1 <= i <= h.d - 1:
-        raise SpgStructureError(f"index {i} is not interior for d={h.d}")
     for idx in range(1, h.d) if i is None else (i,):
         try:
             dec = decompose_at_index(h, idx)
@@ -564,24 +564,30 @@ def run_corpus(
     *,
     checks: Iterable[str] | None = None,
     include_decomposition: bool = False,
+    index: int | None = None,
     limit: int = DEFAULT_GEODESIC_LIMIT,
 ) -> CorpusSummary:
-    """Run the named checks (default: all standard ones) over a corpus and
-    aggregate the outcomes per check."""
+    """Run the named checks (default: all standard ones), and the
+    decomposition if asked, over a corpus and aggregate the outcomes per
+    check. With an ``index`` i the decomposition runs at position i only,
+    where it is interior (1 <= i < d), and rolls up as ``decomposition@i``."""
     names = list(STANDARD_CHECKS) if checks is None else list(checks)
     unknown = [name for name in names if name not in STANDARD_CHECKS]
     if unknown:
         raise GraphError(f"unknown checks: {', '.join(unknown)}")
+    if index is not None and index < 1:
+        raise GraphError(f"decomposition index must be at least 1, got {index}")
     rollups: dict[str, CheckRollup] = {name: CheckRollup() for name in names}
+    decomposition = "decomposition" if index is None else f"decomposition@{index}"
     if include_decomposition:
-        rollups["decomposition"] = CheckRollup()
+        rollups[decomposition] = CheckRollup()
     total = 0
     for pos, inst in enumerate(instances):
         total += 1
         h = build_spg(inst, limit=limit)
         reports = [(name, STANDARD_CHECKS[name](h)) for name in names]
-        if include_decomposition:
-            reports.append(("decomposition", check_decomposition(inst, limit=limit)))
+        if include_decomposition and (index is None or index < (h.d or 0)):
+            reports.append((decomposition, check_decomposition(inst, index, limit=limit)))
         for name, report in reports:
             roll = rollups[name]
             roll.ran += 1
@@ -832,8 +838,9 @@ def check_cayley(m: int, *, limit: int = DEFAULT_GEODESIC_LIMIT) -> CheckReport:
     """The hypercube-chain grid on m axes of length one has the permutation
     graph under adjacent switches as its shortest path graph."""
     name = f"cayley-{m}"
-    h = build_spg(grid_base(GridSpec((1,) * m)), limit=limit)
+    # the switch graph refuses an m too large before the grid is built
     cay = cayley_adjacent_transpositions(m, limit=limit)
+    h = build_spg(grid_base(GridSpec((1,) * m)), limit=limit)
     stats = {"vertices": cay.num_vertices, "edges": cay.num_edges}
     if h.num_vertices != cay.num_vertices:
         return CheckReport(name, False, "vertex counts differ", stats)

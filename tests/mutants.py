@@ -72,8 +72,8 @@ MUTANTS = (
     ),
     Mutant(
         "suffix-counts-in-source-order", "geodesics.py",
-        "_path_counts(order[::-1], *pred,",
-        "_path_counts(order, *pred,",
+        "_path_counts(order[::-1], *dag._predecessors,",
+        "_path_counts(order, *dag._predecessors,",
         ("tests/test_geodesics.py::test_spg_edge_count_matches_the_bucketed_edges_of_grids_and_hypercubes",),
     ),
     Mutant(
@@ -193,9 +193,30 @@ MUTANTS = (
     ),
     Mutant(
         "verify-decomp-spg-ignores-the-index", "cli.py",
-        "reports = [check_decomposition(h, args.index)]",
-        "reports = [check_decomposition(h)]",
+        "reports.append(check_decomposition(h, args.index))",
+        "reports.append(check_decomposition(h))",
         ("tests/test_cli.py::test_verify_decomp_spg_file_checks_the_given_index",),
+    ),
+    Mutant(
+        "run-corpus-checks-a-non-interior-index", "verify.py",
+        "index is None or index < (h.d or 0)",
+        "index is None or index <= (h.d or 0)",
+        ("tests/test_verify.py::test_run_corpus_checks_the_given_index_only_where_it_is_interior",
+         "tests/test_cli.py::test_verify_decomp_over_a_corpus_checks_the_given_index"),
+    ),
+    Mutant(
+        "run-corpus-takes-an-index-below-one", "verify.py",
+        "    if index is not None and index < 1:",
+        "    if False:",
+        ("tests/test_cli.py::test_verify_decomp_over_a_corpus_refuses_an_index_below_one",),
+    ),
+    Mutant(
+        "cayley-builds-the-grid-before-the-guard", "verify.py",
+        "    cay = cayley_adjacent_transpositions(m, limit=limit)\n"
+        "    h = build_spg(grid_base(GridSpec((1,) * m)), limit=limit)",
+        "    h = build_spg(grid_base(GridSpec((1,) * m)), limit=limit)\n"
+        "    cay = cayley_adjacent_transpositions(m, limit=limit)",
+        ("tests/test_verify.py::test_cayley_check_refuses_m_before_building_the_grid",),
     ),
     Mutant(
         "cayley-skips-the-isomorphism", "verify.py",
@@ -220,6 +241,78 @@ MUTANTS = (
         "    if len(seen) != total:",
         "    if False:",
         ("tests/test_verify.py::test_tournament_check_fails_on_damaged_tournaments",),
+    ),
+    # -- the one error root ----------------------------------------------------
+    Mutant(
+        "work-limit-outside-the-error-root", "patterns.py",
+        "class WorkLimitExceeded(SpgError, RuntimeError):",
+        "class WorkLimitExceeded(RuntimeError):",
+        ("tests/test_cli.py::test_every_package_error_is_an_spg_error_and_exits_2",
+         "tests/test_cli.py::test_every_error_class_of_the_package_is_an_spg_error"),
+    ),
+    Mutant(
+        "corpus-file-json-error-outside-the-error-root", "graphs.py",
+        "    except json.JSONDecodeError as exc:\n        raise error(",
+        "    except KeyError as exc:\n        raise error(",
+        ("tests/test_cli.py::test_verify_refuses_malformed_corpus_files",),
+    ),
+    # -- the automorphism generators of the canonical form ---------------------
+    Mutant(
+        "automorphisms-without-the-tie-maps", "isomorphism.py",
+        "        elif code == best and automorphisms:",
+        "        elif False:",
+        ("tests/test_isomorphism.py::test_canonical_leaf_generates_the_automorphism_group",),
+    ),
+    Mutant(
+        "automorphisms-without-the-twin-swaps", "isomorphism.py",
+        "            if u != w:\n                swap = list(range(n))",
+        "            if False:\n                swap = list(range(n))",
+        ("tests/test_isomorphism.py::test_canonical_leaf_generates_the_automorphism_group_of_twin_rich_graphs",),
+    ),
+    # -- the column-wise writer and the SpGraph loader -------------------------
+    Mutant(
+        "writer-drops-the-tail-between-records", "graphs.py",
+        "[*merged[1:], tail + rows.sep + lead]",
+        "[*merged[1:], rows.sep + lead]",
+        ("tests/test_cli.py::test_spg_writers_match_json_dumps_byte_for_byte",
+         "tests/test_cli.py::test_graph_json_matches_json_dumps_byte_for_byte"),
+    ),
+    Mutant(
+        "loader-skips-the-repeat-pass", "spg.py",
+        "    if ((first[1:] == first[:-1]) & (second[1:] == second[:-1])).any():",
+        "    if False:",
+        ("tests/test_spg.py::test_json_roundtrip_and_errors",),
+    ),
+    Mutant(
+        "loader-range-pass-takes-self-loops", "spg.py",
+        "hi.max() < len(geos) and (lo < hi).all()",
+        "hi.max() < len(geos)",
+        ("tests/test_spg.py::test_the_loader_refuses_each_edge_out_of_range",),
+    ),
+    Mutant(
+        "loader-range-pass-takes-index-d", "spg.py",
+        "and pos.min() >= 1 and pos.max() < d):",
+        "and pos.min() >= 1 and pos.max() <= d):",
+        ("tests/test_spg.py::test_the_loader_refuses_each_edge_out_of_range",),
+    ),
+    # -- the grid certificate --------------------------------------------------
+    Mutant(
+        "grid-certificate-skips-the-word-count", "verify.py",
+        "    if total != count:",
+        "    if False:",
+        ("tests/test_verify.py::test_grid_embedding_check_fails_on_damaged_input",),
+    ),
+    Mutant(
+        "grid-certificate-skips-the-decoding", "verify.py",
+        "    if not np.array_equal(steps, expected):",
+        "    if False:",
+        ("tests/test_verify.py::test_grid_embedding_check_fails_on_damaged_input",),
+    ),
+    Mutant(
+        "prefix-counts-not-cached", "geodesics.py",
+        "    @cached_property\n    def _prefix_counts",
+        "    @property\n    def _prefix_counts",
+        ("tests/test_geodesics.py::test_a_grid_check_orders_the_layers_and_counts_prefixes_once",),
     ),
 )
 

@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spgraphs import (
     BaseInstance,
@@ -26,16 +28,21 @@ from spgraphs import (
     spg_to_json,
 )
 from spgraphs.cli import _vertex_map_rows, _word_listing, main
+from spgraphs.geodesics import GeodesicOverflowError, NoGeodesicError
 from spgraphs.graphs import (
     ID_CUTOFF,
+    GraphError,
+    SpgError,
     graph_fields,
     graph_to_json,
     hypercube_graph,
     json_records,
     path_graph,
 )
-from spgraphs.grid import MoveSequence
-from spgraphs.spg import MATRIX_CUTOFF, index_color
+from spgraphs.grid import MoveSequence, NotInImageError
+from spgraphs.isomorphism import IsomorphismSizeError
+from spgraphs.patterns import WorkLimitExceeded
+from spgraphs.spg import MATRIX_CUTOFF, SpgStructureError, index_color
 
 
 @pytest.fixture()
@@ -311,6 +318,66 @@ def test_cayley_check_and_export(capsys, tmp_path):
     assert len(json.loads(out_file.read_text())["vertices"]) == 6
 
 
+@pytest.mark.parametrize(
+    "error",
+    [
+        GraphError("bad graph"),
+        SpgStructureError("bad shortest path graph"),
+        NoGeodesicError("apart"),
+        GeodesicOverflowError(7, 5),
+        WorkLimitExceeded("C5", 3),
+        IsomorphismSizeError("too many vertices"),
+        NotInImageError("no word maps here"),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_every_package_error_is_an_spg_error_and_exits_2(capsys, monkeypatch, error):
+    import spgraphs.cli
+
+    guard = isinstance(error, (GeodesicOverflowError, WorkLimitExceeded))
+    assert isinstance(error, SpgError) and isinstance(error, RuntimeError if guard else ValueError)
+
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(spgraphs.cli, "check_cayley", refuse)
+    code, out, err = _run(capsys, ["cayley", "3", "--check"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"error: {error}"
+
+
+def test_every_error_class_of_the_package_is_an_spg_error():
+    import inspect
+
+    import spgraphs
+
+    modules = [m for m in vars(spgraphs).values() if inspect.ismodule(m)]
+    classes = {
+        cls for module in modules for name, cls in vars(module).items()
+        if inspect.isclass(cls) and issubclass(cls, Exception)
+        and cls.__module__ == module.__name__ and not name.startswith("_")
+    }
+    assert {SpgError, GraphError, WorkLimitExceeded} <= classes
+    assert all(issubclass(cls, SpgError) for cls in classes)
+
+
+def test_a_bug_in_the_package_is_not_an_exit_2(monkeypatch):
+    # only SpgError and OSError mean exit 2; anything else propagates
+    import spgraphs.cli
+
+    monkeypatch.setattr(spgraphs.cli, "check_cayley", lambda *args, **kwargs: {}["missing"])
+    with pytest.raises(KeyError):
+        main(["cayley", "3", "--check"])
+
+
+def test_cayley_check_refuses_a_huge_m_with_one_error_line(capsys):
+    code, out, err = _run(capsys, ["cayley", str(10**20), "--check"])
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if not line.startswith("# limits:")] == [
+        "error: permutation vertices are digit strings; m is capped at 9"
+    ]
+
+
 def test_isomorphism_cap_is_a_usage_error(capsys):
     code, _, err = _run(capsys, ["cayley", "6", "--check"])
     assert code == 2
@@ -335,8 +402,39 @@ def test_verify_all_includes_decomposition(capsys):
 
 def test_verify_decomp_over_corpus(capsys):
     code, out, _ = _run(capsys, ["verify", "decomp", "--corpus", "exhaustive:3"])
-    assert code == 0
-    assert "decomposition: 14 instances, 0 failures" in out
+    assert (code, out) == (0, "instances: 14\n  decomposition  ran     14  pass\nPASS\n")
+
+
+def test_verify_decomp_over_a_corpus_checks_the_given_index(capsys):
+    # only the instances at distance 3 or more have position 2 interior
+    code, out, _ = _run(capsys, ["verify", "decomp", "--corpus", "exhaustive:6", "--index", "2"])
+    assert (code, out) == (0, "instances: 3866\n  decomposition@2  ran    264  pass\nPASS\n")
+    code, out, _ = _run(capsys, ["verify", "all", "--corpus", "exhaustive:4", "--index", "1"])
+    ran = {line.split()[0]: int(line.split()[2]) for line in out.splitlines()[1:-1]}
+    assert code == 0 and ran["p3-c4"] == 86
+    assert 0 < ran["decomposition@1"] < 86  # not at distance 1
+
+
+@pytest.mark.parametrize("index", ["0", "-3"])
+def test_verify_decomp_over_a_corpus_refuses_an_index_below_one(capsys, index):
+    argv = ["verify", "decomp", "--corpus", "exhaustive:3", "--index", index]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"error: decomposition index must be at least 1, got {index}"
+
+
+@pytest.mark.parametrize("d", [6, 1], ids=["cube-chain", "one-edge"])
+def test_verify_decomp_spg_file_refuses_an_index_that_is_not_interior(capsys, tmp_path, d):
+    # a shortest path graph of distance 1 has no interior position at all
+    h = build_spg(hypercube_base(3).instance) if d == 6 else SpGraph([("a", "b")], {})
+    assert h.d == d
+    spg_file = tmp_path / "h.json"
+    spg_file.write_text(spg_to_json(h))
+    for index in (0, d):
+        argv = ["verify", "decomp", "--spg", str(spg_file), "--index", str(index)]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"error: index {index} is not interior for d={d}"
 
 
 def test_verify_is_deterministic(capsys):
@@ -857,3 +955,158 @@ def test_grid_enum_writes_commas_from_ten_axes_on():
     assert _word_listing(spec, words) == "count=2\n" + "".join(f"{w}\n" for w in expected)
     short = GridSpec((1, 2))
     assert _word_listing(short, np.array([[2, 1, 2]], dtype=np.uint8)) == "count=1\n212\n"
+
+
+# -- malformed input: exit 2, one error line, no traceback ---------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=10,
+)
+_NAMES = st.sampled_from(["a", "b", "c"])
+
+
+def _with(poison):
+    """Lists that hold ``poison`` somewhere among the drawn items."""
+    return lambda items: st.integers(0, len(items)).map(lambda k: [*items[:k], poison, *items[k:]])
+
+
+def _cut_or_undecodable(write):
+    """A valid document (``write()``, made on first draw) cut inside its
+    last bracket, so never valid JSON again, or bytes that are not UTF-8."""
+
+    def cuts():
+        document = write().rstrip()
+        return st.integers(0, len(document) - 2).map(lambda k: document[:k])
+
+    return st.deferred(cuts) | st.binary(max_size=20).map(lambda junk: b"\xff" + junk)
+
+
+def _not_an_object(text: str) -> bool:
+    # JSON whose first character is not "{" or "[" is a scalar at most
+    return not text.lstrip().startswith(("{", "["))
+
+
+_GRAPH_FILES = st.one_of(
+    st.text(max_size=60),
+    _JSON.map(json.dumps),
+    st.fixed_dictionaries({"vertices": _JSON | st.lists(_NAMES), "edges": _JSON}).map(json.dumps),
+    st.lists(st.text(alphabet="ab #\t", max_size=6), max_size=6).map("\n".join),
+    _cut_or_undecodable(lambda: graph_to_json(complete_bipartite_graph(2, 2))),
+)
+
+_EDGE_RECORDS = st.fixed_dictionaries(
+    {"u": st.integers(-2, 4), "w": st.integers(-2, 4), "index": st.integers(-1, 3)}
+)
+_SPG_FILES = st.one_of(
+    st.text(max_size=40).filter(_not_an_object),
+    st.dictionaries(st.sampled_from(["geodesics", "edges", "d"]), _JSON)
+    .filter(lambda doc: not {"geodesics", "edges"} <= doc.keys())
+    .map(json.dumps),
+    # a self loop of index 0 is never a valid edge record
+    st.fixed_dictionaries({
+        "geodesics": _JSON | st.lists(st.lists(_NAMES, min_size=3, max_size=3), max_size=4),
+        "edges": st.lists(_JSON | _EDGE_RECORDS, max_size=4).flatmap(
+            _with({"u": 0, "w": 0, "index": 0})
+        ),
+    }).map(json.dumps),
+    _cut_or_undecodable(
+        lambda: spg_to_json(build_spg(BaseInstance(complete_bipartite_graph(2, 3), "a0", "a1")))
+    ),
+)
+
+_ENTRIES = st.fixed_dictionaries({
+    "graph": _JSON | st.fixed_dictionaries({
+        "vertices": st.lists(_NAMES, max_size=3),
+        "edges": st.lists(st.lists(_NAMES, min_size=2, max_size=2), max_size=3),
+    }),
+    "source": _JSON | _NAMES,
+    "target": _JSON | _NAMES,
+})
+_CORPUS_FILES = st.one_of(
+    st.text(max_size=40).filter(_not_an_object),
+    # an entry whose endpoints coincide is never an instance
+    st.lists(_JSON | _ENTRIES, max_size=3)
+    .flatmap(_with({"graph": {"vertices": ["a"], "edges": []}, "source": "a", "target": "a"}))
+    .map(json.dumps),
+    _cut_or_undecodable(lambda: json.dumps([{
+        "graph": json.loads(graph_to_json(complete_bipartite_graph(2, 2))),
+        "source": "a0",
+        "target": "a1",
+    }])),
+)
+
+
+def _refused(capsys, argv):
+    code, _, err = _run(capsys, argv)
+    assert code == 2, (argv, err)
+    assert err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in err
+
+
+def _write(path, contents):
+    if isinstance(contents, bytes):
+        path.write_bytes(contents)
+    else:
+        path.write_text(contents, encoding="utf-8")
+    return str(path)
+
+
+_FUZZ = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_FUZZ
+@given(contents=_GRAPH_FILES)
+def test_compute_refuses_malformed_graph_files(capsys, tmp_path, contents):
+    # equal endpoints: a file that parses still makes no instance
+    path = _write(tmp_path / "g.txt", contents)
+    _refused(capsys, ["compute", "--in", path, "--a", "a", "--b", "a"])
+
+
+@_FUZZ
+@given(contents=_SPG_FILES)
+def test_verify_and_export_refuse_malformed_spg_files(capsys, tmp_path, contents):
+    path = _write(tmp_path / "h.json", contents)
+    _refused(capsys, ["verify", "all", "--spg", path])
+    _refused(capsys, ["export", "--spg", path])
+
+
+@_FUZZ
+@given(contents=_CORPUS_FILES)
+def test_verify_refuses_malformed_corpus_files(capsys, tmp_path, contents):
+    _refused(capsys, ["verify", "all", "--corpus", f"file:{_write(tmp_path / 'c.json', contents)}"])
+
+
+@_FUZZ
+@given(
+    argv=st.one_of(
+        st.integers(10, 10**20).map(lambda m: [str(m)]),
+        st.integers(-(10**20), 0).map(lambda m: [str(m)]),
+        st.integers(2, 9).flatmap(
+            lambda m: st.integers(1, math.factorial(m) - 1).map(
+                lambda cap: [str(m), "--limit", str(cap)]
+            )
+        ),
+    )
+)
+def test_cayley_check_refuses_every_m_it_cannot_build(capsys, argv):
+    _refused(capsys, ["cayley", *argv, "--check"])
+
+
+@_FUZZ
+@given(
+    dims=st.one_of(
+        st.lists(st.integers(-3, 3), min_size=1, max_size=4)
+        .filter(lambda dims: min(dims) < 1)
+        .map(lambda dims: ",".join(map(str, dims))),
+        st.text(alphabet="x.;", max_size=5),
+    ),
+    command=st.sampled_from(["check", "enum", "base"]),
+)
+def test_grid_commands_refuse_malformed_dims(capsys, dims, command):
+    _refused(capsys, ["grid", command, f"--dims={dims}"])

@@ -3,6 +3,7 @@ hold the README's list of the public API to the package's exports."""
 
 import doctest
 import re
+import shlex
 import types
 from pathlib import Path
 
@@ -61,3 +62,19 @@ def test_readme_names_every_export_under_its_module():
     assert sorted(listed) == sorted(spgraphs.__all__)
     for name, module in listed.items():
         assert getattr(spgraphs, name) is getattr(getattr(spgraphs, module.split(".")[1]), name)
+
+
+def test_readme_command_lines_exit_zero(capsys, monkeypatch, tmp_path):
+    # every spgraphs line of the Command line block, on the 4-cycle it names
+    from spgraphs.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "square.txt").write_text("a b\nb c\nc d\nd a\n")
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("spgraphs ")]
+    commands = [shlex.split(line)[1:] for line in lines]
+    assert len(commands) >= 10
+    for argv in commands:
+        assert (argv, main(argv)) == (argv, 0)
+        capsys.readouterr()

@@ -304,16 +304,24 @@ def test_reduction_of_either_dag_of_a_large_box_with_a_forced_tail():
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3, 3)], ids=["dict dag", "id dag"])
 def test_a_grid_check_orders_the_layers_and_counts_prefixes_once(monkeypatch, dims):
     # what _embed_grid asks of one DAG: the guarded count, then the edge count
-    from spgraphs import geodesics
+    from functools import cached_property
 
+    from spgraphs.geodesics import GeodesicDag, guarded_count
+
+    built = []
+    for name in ("_layer_order", "_predecessors"):
+        real = vars(GeodesicDag)[name].func
+        spy = cached_property(lambda dag, real=real, name=name: built.append(name) or real(dag))
+        spy.__set_name__(GeodesicDag, name)
+        monkeypatch.setattr(GeodesicDag, name, spy)
     dag = build_dag(grid_base(GridSpec(dims)))
-    calls = []
-    real = geodesics._id_lists
-    monkeypatch.setattr(geodesics, "_id_lists", lambda *a: calls.append(a) or real(*a))
-    count = geodesics.guarded_count(dag, 10**6)
+    count = guarded_count(dag, 10**6)
+    # the id dag counts along the layer order, the dict dag stores its count,
+    # and neither builds the predecessor lists for a plain count
+    assert built == ([] if dims == (2, 2) else ["_layer_order"])
     edges = count_spg_edges(dag)
     assert count == oracles.multinomial(dims)
     assert edges == matrix_adjacency(geodesic_matrix(dag))[0].size
-    assert len(calls) == 1
-    assert count_spg_edges(dag) == edges and len(calls) == 1
+    assert built == ["_layer_order", "_predecessors"]
+    assert count_spg_edges(dag) == edges and built == ["_layer_order", "_predecessors"]
     assert dag._prefix_counts is dag._prefix_counts

@@ -1,6 +1,7 @@
 """Tests for the shortest path graph container, adjacency, decomposition."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,26 @@ def test_json_roundtrip_and_errors():
             '{"geodesics": [["a", "x", "b"], ["a", "y", "b"]],'
             ' "edges": [{"u": 0, "w": 1, "index": 1}, {"u": 1, "w": 0, "index": 1}]}'
         )
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ((1, 1, 1), "edge (1, 1) out of range"),
+        ((-1, 1, 1), "edge (-1, 1) out of range"),
+        ((0, 3, 1), "edge (0, 3) out of range"),
+        ((0, 1, 0), "difference index 0 out of range for d=2"),
+        ((0, 1, 2), "difference index 2 out of range for d=2"),
+    ],
+    ids=["self-loop", "negative", "past-the-end", "index-0", "index-d"],
+)
+def test_the_loader_refuses_each_edge_out_of_range(edge, message):
+    # the whole-list range pass hands a failing file to SpGraph, which names the edge
+    u, w, pos = edge
+    records = [{"u": 0, "w": 2, "index": 1}, {"u": u, "w": w, "index": pos}]
+    geodesics = [["a", "x", "b"], ["a", "y", "b"], ["a", "z", "b"]]
+    with pytest.raises(SpgStructureError, match=re.escape(message)):
+        spg_from_json(json.dumps({"geodesics": geodesics, "edges": records}))
 
 
 def test_dot_export_mentions_labels_and_colors():

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracles
 from spgraphs import (
     BaseInstance,
     Graph,
@@ -502,6 +503,35 @@ def test_run_corpus_aggregates():
         run_corpus([], checks=["nope"])
 
 
+def test_run_corpus_checks_the_given_index_only_where_it_is_interior(monkeypatch):
+    import spgraphs.verify
+
+    apart = BaseInstance(Graph(["a", "b"], []), "a", "b")
+    instances = [*exhaustive_instances(5), apart]
+    distance = {
+        id(inst): len(oracles.brute_geodesics(inst.graph, inst.source, inst.target)[0]) - 1
+        for inst in instances[:-1]
+    }
+    assert set(distance.values()) == {1, 2, 3, 4}
+    checked = []
+    real = spgraphs.verify.check_decomposition
+    monkeypatch.setattr(
+        spgraphs.verify,
+        "check_decomposition",
+        lambda inst, i=None, **kw: checked.append((id(inst), i)) or real(inst, i, **kw),
+    )
+    for index in (1, 2, 3, 4):
+        checked.clear()
+        summary = run_corpus(instances, checks=[], include_decomposition=True, index=index)
+        want = [(id(inst), index) for inst in instances[:-1] if distance[id(inst)] > index]
+        assert checked == want
+        assert summary.instances == len(instances) and summary.passed
+        assert list(summary.rollups) == [f"decomposition@{index}"]
+        assert summary.rollups[f"decomposition@{index}"].ran == len(want)
+    with pytest.raises(GraphError, match="decomposition index must be at least 1, got 0"):
+        run_corpus(instances, include_decomposition=True, index=0)
+
+
 def test_run_corpus_counts_a_failing_check_and_keeps_its_first_failure(monkeypatch):
     instances = list(exhaustive_instances(4))
     sizes = [build_spg(inst).num_vertices for inst in instances]
@@ -739,6 +769,25 @@ def test_staircase_and_cayley_checks():
         assert check_staircase(n1, n2).passed
     assert check_cayley(3).passed
     assert check_tournament_bijection(3).passed
+
+
+@pytest.mark.parametrize(
+    "m, limit, error",
+    [
+        (10**20, 10**6, "m is capped at 9"),
+        (10, 10**6, "m is capped at 9"),
+        (8, 5039, "40320 geodesics exceed the limit of 5039"),
+        (0, 10**6, "m must be positive"),
+    ],
+)
+def test_cayley_check_refuses_m_before_building_the_grid(monkeypatch, m, limit, error):
+    import spgraphs.verify
+
+    built = []
+    monkeypatch.setattr(spgraphs.verify, "grid_base", built.append)
+    with pytest.raises((GraphError, GeodesicOverflowError), match=error):
+        check_cayley(m, limit=limit)
+    assert built == []
 
 
 @pytest.mark.parametrize(
