@@ -48,6 +48,7 @@ from .graphs import (
     graph_fields,
     graph_from_edge_list,
     graph_from_json,
+    graph_from_value,
     graph_to_json,
     join_rows,
     json_records,
@@ -353,7 +354,7 @@ def _corpus_from_flag(args: argparse.Namespace) -> tuple[Iterable[BaseInstance],
                 raise GraphError("corpus file entries need graph, source, and target fields")
             if not isinstance(entry["source"], str) or not isinstance(entry["target"], str):
                 raise GraphError("corpus file entries need string source and target")
-            graph = graph_from_json(json.dumps(entry["graph"]))
+            graph = graph_from_value(entry["graph"])
             out.append(BaseInstance(graph, entry["source"], entry["target"]))
         return out, None
     raise GraphError(f"unknown corpus kind {kind!r}")

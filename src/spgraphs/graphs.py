@@ -675,7 +675,12 @@ def parse_json(text: str, error: type[SpgError] = GraphError) -> object:
 
 
 def graph_from_json(text: str) -> Graph:
-    payload = parse_json(text)
+    return graph_from_value(parse_json(text))
+
+
+def graph_from_value(payload: object) -> Graph:
+    """The graph of a decoded graph JSON value, such as an entry of a
+    corpus file; a value of the wrong shape raises GraphError."""
     if not isinstance(payload, dict):
         raise GraphError("graph JSON must be an object")
     for key in ("vertices", "edges"):

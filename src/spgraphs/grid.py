@@ -277,9 +277,10 @@ def words_array(spec: GridSpec) -> np.ndarray:
 
     Built one column at a time: each prefix is extended by every symbol it
     has left, smallest first, and keeps a parent pointer; the rows are then
-    read back from the last column.
+    read back from the last column. The symbols each prefix has left are
+    counted in the smallest unsigned type that holds the longest axis.
     """
-    remaining = np.array([spec.dims], dtype=np.int64)
+    remaining = np.array([spec.dims], dtype=np.min_scalar_type(max(spec.dims)))
     layers = []
     for _ in range(spec.total_moves):
         parent, axis = np.nonzero(remaining > 0)
@@ -302,8 +303,10 @@ def phi_batch(spec: GridSpec, words: np.ndarray) -> np.ndarray:
     The result is the transpose of a C-order (coordinate, word) array, so
     each coordinate column is contiguous. Coordinate (i, j, k) counts the
     i positions after the position of the k-th j, one whole-column
-    comparison per pair of an i occurrence and a j occurrence. A row
-    without the symbol counts of a word raises GraphError naming it.
+    comparison per pair of an i occurrence and a j occurrence. Positions
+    are held within the word, in the smallest unsigned type that holds
+    them. A row without the symbol counts of a word raises GraphError
+    naming it.
     """
     count, n = words.shape
     if n != spec.total_moves:
@@ -313,9 +316,10 @@ def phi_batch(spec: GridSpec, words: np.ndarray) -> np.ndarray:
     # split the flat indices of the hits of s into blocks of d = dims[s - 1],
     # in order: every word holds exactly d copies of s when there are
     # count * d hits and the first and last hit of block q lie in word q.
-    # Row r of pos[s - 1] then holds the position of the (r + 1)-th s in
-    # every word
+    # Row r of pos[s - 1] then holds the position of the (r + 1)-th s
+    # within every word
     start = np.arange(count) * n
+    in_word = np.min_scalar_type(n - 1)
     pos = []
     for s, d in enumerate(spec.dims, start=1):
         hits = np.flatnonzero(words == s)
@@ -327,7 +331,9 @@ def phi_batch(spec: GridSpec, words: np.ndarray) -> np.ndarray:
             )
             q = int(np.argmax((counts != spec.dims).any(axis=1)))
             raise GraphError(f"word {q} does not have symbol counts {spec.dims}")
-        pos.append(hits.reshape(count, d).T.copy())
+        rows = hits.reshape(count, d)
+        rows -= start[:, None]
+        pos.append(rows.T.astype(in_word, order="C"))
     after = np.empty(count, dtype=bool)
     col = 0
     for j in range(2, spec.m + 1):

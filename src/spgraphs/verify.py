@@ -625,13 +625,18 @@ def check_grid_embedding(
     return _embed_grid(spec, limit)[0]
 
 
+# rows or lattice steps per pass of the grid certificate's blocked loops:
+# no temporary of the decode, the differ test or the switch test covers
+# more of them
+_BLOCK = 1 << 16
+
+
 def _embed_grid(
     spec: GridSpec, limit: int
-) -> tuple[CheckReport, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The body of ``check_grid_embedding``: its report, the ``phi``
-    coordinates of the lexicographic words, and the word edges as two
-    arrays of word numbers, one pair per lattice step. Only a passing
-    report vouches for the arrays.
+) -> tuple[CheckReport, tuple[np.ndarray, np.ndarray]]:
+    """The body of ``check_grid_embedding``: its report and the word edges
+    as two arrays of word numbers, one pair per lattice step. Only a
+    passing report vouches for the arrays.
 
     The word list is checked to hold every word once, which the count of
     switches rests on. Geodesic k decodes to word ``total - 1 - k``: the
@@ -639,6 +644,12 @@ def _embed_grid(
     sequence, which is decreasing word order. Every fact about the shortest
     path graph comes from the grid graph (its geodesics and its DAG); the
     words only propose which pairs to test.
+
+    The working set stays near the word array, the ``phi`` coordinates and
+    the geodesic matrix: the coordinates are released once the lattice
+    steps are found, and the decode and the differ test compare
+    ``_BLOCK`` rows or steps at a time. A failing block is looked at again
+    over the whole arrays only where the witness needs them.
     """
     name = "grid-embedding-" + "x".join(str(n) for n in spec.dims)
     count = spec.word_count()
@@ -647,12 +658,13 @@ def _embed_grid(
     words = words_array(spec)
     total, n_moves = words.shape
     stats: dict[str, object] = {"words": total, "dimension": spec.embedding_dim}
-    # every row has the symbol counts of a word, or phi_batch raises
-    coords = phi_batch(spec, words)
+    # every row has the symbol counts of a word, or phi_batch raises; one
+    # contiguous row per coordinate
+    cols = np.ascontiguousarray(phi_batch(spec, words).T)
 
-    def fail(witness: str) -> tuple[CheckReport, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    def fail(witness: str) -> tuple[CheckReport, tuple[np.ndarray, np.ndarray]]:
         no_edges = np.empty(0, dtype=np.int64)
-        return CheckReport(name, False, witness, stats), coords, (no_edges, no_edges)
+        return CheckReport(name, False, witness, stats), (no_edges, no_edges)
 
     if total != count:
         return fail(f"{total} words listed, {count} expected")
@@ -662,7 +674,6 @@ def _embed_grid(
         return fail("word enumeration is not strictly lexicographic")
     del keys  # a view: it would keep the words alive past the decode
 
-    cols = np.ascontiguousarray(coords.T)
     witness = image_violation(spec, cols)
     if witness is not None:
         return fail(witness)
@@ -683,41 +694,44 @@ def _embed_grid(
         return fail(f"{n_geodesics} geodesics but {total} words")
     matrix = geodesic_matrix(dag)
     place = place_values([n + 1 for n in spec.dims]).astype(np.int32)
-    steps = np.diff(matrix, axis=1)
-    expected = place[words[::-1] - 1]
-    del words
-    if not np.array_equal(steps, expected):
-        odd = ~np.isin(steps, place).all(axis=1)
-        if bool(odd.any()):
-            k = int(np.argmax(odd))
-            return fail(f"geodesic {k} has a step that is not a unit step along one axis")
-        k = int(np.argmax((steps != expected).any(axis=1)))
-        return fail(f"geodesic {k} does not decode to word {total - 1 - k}")
-    del steps, expected
+    backwards = words[::-1]
+    for row in range(0, total, _BLOCK):
+        rows = slice(row, row + _BLOCK)
+        if not np.array_equal(np.diff(matrix[rows], axis=1), place[backwards[rows] - 1]):
+            # the witness names the first odd row of all, then the first
+            # row that decodes wrong
+            steps = np.diff(matrix, axis=1)
+            odd = ~np.isin(steps, place).all(axis=1)
+            if bool(odd.any()):
+                k = int(np.argmax(odd))
+                return fail(f"geodesic {k} has a step that is not a unit step along one axis")
+            k = int(np.argmax((steps != place[backwards - 1]).any(axis=1)))
+            return fail(f"geodesic {k} does not decode to word {total - 1 - k}")
+    del words, backwards
     # every lattice step joins two geodesics that differ in exactly one
     # vertex. Column c of inner holds vertex c + 1 of each word's geodesic;
     # the end vertices are shared by all geodesics
     inner = np.ascontiguousarray(matrix[::-1, 1:-1].T)
     del matrix
-    # intp indices spare numpy a conversion at every gather
-    ends = lu.astype(np.intp), lv.astype(np.intp)
-    differ = np.zeros(lu.size, dtype=np.int32)
-    for col in inner:
-        differ += col[ends[0]] != col[ends[1]]
-    del ends
+    for step in range(0, lu.size, _BLOCK):
+        # intp indices spare numpy a conversion at every gather
+        iu, iv = (ends[step : step + _BLOCK].astype(np.intp) for ends in (lu, lv))
+        differ = np.zeros(iu.size, dtype=np.int32)
+        for col in inner:
+            differ += col[iu] != col[iv]
+        bad = np.flatnonzero(differ != 1)
+        if bad.size:
+            k = step + int(bad[0])
+            return fail(
+                f"words {int(lu[k])} and {int(lv[k])} are one lattice step apart "
+                f"but their geodesics differ in {int(differ[bad[0]])} vertices"
+            )
     del inner
-    bad = np.flatnonzero(differ != 1)
-    if bad.size:
-        k = int(bad[0])
-        return fail(
-            f"words {int(lu[k])} and {int(lv[k])} are one lattice step apart "
-            f"but their geodesics differ in {int(differ[k])} vertices"
-        )
     # and there are no other edges
     n_edges = count_spg_edges(dag)
     if n_edges != lu.size:
         return fail(f"{n_edges} shortest path graph edges but {lu.size} lattice steps")
-    return CheckReport(name, True, None, stats), coords, word_edges
+    return CheckReport(name, True, None, stats), word_edges
 
 
 def _lattice_edges(
@@ -729,11 +743,58 @@ def _lattice_edges(
     coordinate by coordinate, each in the sorted order of its lower ends'
     lattice codes. ``words`` must be every word once, each with a word's
     symbol counts, and ``cols`` their images one coordinate per row,
-    meeting the conditions of ``image_violation``."""
+    meeting the conditions of ``image_violation``. The switch test reads
+    ``_BLOCK`` steps at a time."""
     if not spec.embedding_dim:
         # one axis: a single word, with no switches
         return (np.empty(0, dtype=np.int64),) * 2
-    total = len(words)
+    ends = _lattice_step_ends(spec, cols)
+    if isinstance(ends, str):
+        return ends
+    # the sort arrays are gone; concatenate one end list at a time and drop
+    # it, so that no end is held twice beside the other list
+    lows, highs = ends
+    del ends
+    lu = np.concatenate(lows)
+    del lows
+    lv = np.concatenate(highs)
+    del highs
+    # a step is a switch when its two words differ in exactly two positions
+    # and those are adjacent: with equal symbol counts, the two symbols there
+    # are swapped. Read one contiguous word column at a time
+    wcols = np.ascontiguousarray(words.T)
+    for first in range(0, lu.size, _BLOCK):
+        # intp indices spare numpy a conversion at every gather
+        iu, iv = (ends[first : first + _BLOCK].astype(np.intp) for ends in (lu, lv))
+        # a uint8 count could wrap back to 2 on a row of 258 or more moves
+        differ = np.zeros(iu.size, dtype=np.int32)
+        adjacent = np.zeros(iu.size, dtype=bool)
+        before = None
+        for col in wcols:
+            here = col[iu] != col[iv]
+            differ += here
+            if before is not None:
+                adjacent |= before & here
+            before = here
+        switch = (differ == 2) & adjacent
+        if not bool(switch.all()):
+            bad = first + int(np.argmin(switch))
+            return f"the lattice step from word {int(lu[bad])} to {int(lv[bad])} is not a switch"
+    # switching maps the word set onto itself, so each switch is counted
+    # once from either end among unequal neighbouring symbols
+    unequal = int(np.count_nonzero(wcols[1:] != wcols[:-1]))
+    if 2 * lu.size != unequal:
+        return f"{lu.size} lattice steps inside the image but {unequal // 2} word switches"
+    return lu, lv
+
+
+def _lattice_step_ends(
+    spec: GridSpec, cols: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]] | str:
+    """The lower and the upper ends of the lattice steps inside the image,
+    one array per coordinate, or the witness of a collision. The lattice
+    codes and their sort live only in here."""
+    total = cols.shape[1]
     layout = spec.coordinate_layout()
     # coordinate (i, j, k) lies in 0..n_i, so radix n_i + 1 packs a point
     radixes = [spec.dims[i - 1] + 1 for (i, j, k) in layout]
@@ -760,7 +821,8 @@ def _lattice_edges(
     # query from the lower end of each step only the points that can rise:
     # below the bound, so the raised coordinate carries into no other, and,
     # for k > 1, below coordinate k - 1
-    steps: list[tuple[np.ndarray, np.ndarray]] = []
+    lows: list[np.ndarray] = []
+    highs: list[np.ndarray] = []
     prev = None
     for c, (i, j, k) in enumerate(layout):
         col = cols[c][order]
@@ -773,37 +835,9 @@ def _lattice_edges(
         qcodes = sorted_codes[at] + mult[c]
         pos = np.searchsorted(sorted_codes, qcodes)
         hit = sorted_codes[np.minimum(pos, total - 1)] == qcodes
-        steps.append((ends_of[at[hit]], ends_of[pos[hit]]))
-    lu, lv = (np.concatenate(ends) for ends in zip(*steps))
-    # the step list would hold every end a second time, and the switch
-    # test below needs no sort: drop them before its intp copies
-    del steps, order, ends_of, sorted_codes
-    # a step is a switch when its two words differ in exactly two positions
-    # and those are adjacent: with equal symbol counts, the two symbols there
-    # are swapped. Read one contiguous word column at a time
-    wcols = np.ascontiguousarray(words.T)
-    # a uint8 count could wrap back to 2 on a row of 258 or more moves
-    differ = np.zeros(lu.size, dtype=np.int32)
-    adjacent = np.zeros(lu.size, dtype=bool)
-    before = None
-    # intp indices spare numpy a conversion at every gather
-    iu, iv = lu.astype(np.intp), lv.astype(np.intp)
-    for col in wcols:
-        here = col[iu] != col[iv]
-        differ += here
-        if before is not None:
-            adjacent |= before & here
-        before = here
-    switch = (differ == 2) & adjacent
-    if not bool(switch.all()):
-        bad = int(np.argmin(switch))
-        return f"the lattice step from word {int(lu[bad])} to {int(lv[bad])} is not a switch"
-    # switching maps the word set onto itself, so each switch is counted
-    # once from either end among unequal neighbouring symbols
-    unequal = int(np.count_nonzero(wcols[1:] != wcols[:-1]))
-    if 2 * lu.size != unequal:
-        return f"{lu.size} lattice steps inside the image but {unequal // 2} word switches"
-    return lu, lv
+        lows.append(ends_of[at[hit]])
+        highs.append(ends_of[pos[hit]])
+    return lows, highs
 
 
 def check_staircase(
@@ -815,15 +849,18 @@ def check_staircase(
     word graph under ``phi``. For two axes the image of ``phi`` is exactly
     the weakly decreasing vectors, so each word names its staircase vertex
     by its coordinates, and the staircase must have exactly those vertices
-    and exactly the word edges between them.
+    and exactly the word edges between them. The certificate does not keep
+    its coordinates, so the words are embedded once more here, for two
+    axes a small array.
     """
     name = f"staircase-{n1}x{n2}"
-    report, coords, (lu, lv) = _embed_grid(GridSpec((n1, n2)), limit)
+    spec = GridSpec((n1, n2))
+    report, (lu, lv) = _embed_grid(spec, limit)
     stats = {**report.stats, "vertices": report.stats["words"]}
     if not report.passed:
         return CheckReport(name, False, report.witness, stats)
     stair = staircase(n1, n2)
-    names = [coord_name(row) for row in coords.tolist()]
+    names = [coord_name(row) for row in phi_batch(spec, words_array(spec)).tolist()]
     mapped = {frozenset((names[a], names[b])) for a, b in zip(lu.tolist(), lv.tolist())}
     if sorted(names) != sorted(stair.vertices):
         witness = "staircase vertices differ from the phi image"

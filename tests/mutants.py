@@ -142,8 +142,8 @@ MUTANTS = (
     ),
     Mutant(
         "lattice-step-switch-without-adjacency", "verify.py",
-        "    switch = (differ == 2) & adjacent",
-        "    switch = differ == 2",
+        "        switch = (differ == 2) & adjacent",
+        "        switch = differ == 2",
         ("tests/test_verify.py::test_grid_embedding_check_fails_on_damaged_input",),
     ),
     Mutant(
@@ -304,9 +304,28 @@ MUTANTS = (
     ),
     Mutant(
         "grid-certificate-skips-the-decoding", "verify.py",
-        "    if not np.array_equal(steps, expected):",
-        "    if False:",
+        "        if not np.array_equal(np.diff(matrix[rows], axis=1), place[backwards[rows] - 1]):",
+        "        if False:",
         ("tests/test_verify.py::test_grid_embedding_check_fails_on_damaged_input",),
+    ),
+    # -- the blocked loops of the grid certificate -----------------------------
+    Mutant(
+        "switch-test-skips-the-last-partial-block", "verify.py",
+        "    for first in range(0, lu.size, _BLOCK):",
+        "    for first in range(0, lu.size - _BLOCK + 1, _BLOCK):",
+        ("tests/test_verify.py::test_grid_embedding_check_fails_on_damaged_input_in_blocks_of_three",),
+    ),
+    Mutant(
+        "differ-test-skips-the-last-partial-block", "verify.py",
+        "    for step in range(0, lu.size, _BLOCK):",
+        "    for step in range(0, lu.size - _BLOCK + 1, _BLOCK):",
+        ("tests/test_verify.py::test_grid_embedding_check_needs_exactly_one_differing_vertex_in_blocks_of_three",),
+    ),
+    Mutant(
+        "decode-checks-the-first-block-only", "verify.py",
+        "    for row in range(0, total, _BLOCK):",
+        "    for row in range(0, min(total, _BLOCK), _BLOCK):",
+        ("tests/test_verify.py::test_grid_embedding_check_fails_on_damaged_input_in_blocks_of_three",),
     ),
     Mutant(
         "prefix-counts-not-cached", "geodesics.py",

@@ -34,6 +34,7 @@ from spgraphs.graphs import (
     GraphError,
     SpgError,
     graph_fields,
+    graph_from_json,
     graph_to_json,
     hypercube_graph,
     json_records,
@@ -549,6 +550,31 @@ def test_verify_file_corpus(capsys, tmp_path):
         code, _, err = _run(capsys, ["verify", "all", "--corpus", f"file:{corpus}"])
         assert code == 2
         assert err.splitlines()[-1].startswith("error:") and "string source" in err
+
+
+@pytest.mark.parametrize(
+    "graph, error",
+    [
+        ([], "graph JSON must be an object"),
+        ({"vertices": ["a"]}, "graph JSON is missing 'edges'"),
+        ({"vertices": [1], "edges": []}, "'vertices' must be a list of strings"),
+        ({"vertices": ["a", "b"], "edges": {}}, "'edges' must be a list of pairs"),
+        ({"vertices": ["a", "b"], "edges": [["a", "b"], ["a"]]}, "edge #1 must be a pair of vertex ids"),
+    ],
+)
+def test_a_malformed_graph_in_a_corpus_file_exits_2_with_its_error_line(
+    capsys, tmp_path, graph, error
+):
+    # the reader hands each decoded graph over as it is, with the messages
+    # of graph_from_json
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([{"graph": graph, "source": "a", "target": "b"}]))
+    code, _, err = _run(capsys, ["verify", "all", "--corpus", f"file:{corpus}"])
+    assert code == 2
+    assert err.splitlines()[-1] == f"error: {error}"
+    with pytest.raises(GraphError) as raised:
+        graph_from_json(json.dumps(graph))
+    assert str(raised.value) == error
 
 
 def test_export_dot(capsys, tmp_path):

@@ -8,6 +8,7 @@ that a correct shortest path graph could never produce.
 
 import hashlib
 import json
+import tracemalloc
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -652,6 +653,15 @@ def _break_two_columns(coords):
     return coords
 
 
+def _move_the_last_image_next_to_a_far_word(coords):
+    # word 29 (33211) takes the point one step above the image of word 24
+    # (32113) in coordinate (2,3,2): the last of the 47 lattice steps, and
+    # the rows differ in four positions
+    coords = coords.copy()
+    coords[29] = (2, 2, 0, 1, 1)
+    return coords
+
+
 def _swap_two_names(inst):
     # the same graph up to relabelling, so only the names break the decoding
     swap = {"(1,0,0)": "(0,0,1)", "(0,0,1)": "(1,0,0)"}
@@ -713,6 +723,11 @@ GRID_DAMAGE = {
     "phi: move one image": (
         "phi_batch", _move_one_image, "45 lattice steps inside the image but 48 word switches"
     ),
+    "phi: move the last image next to a far word": (
+        "phi_batch",
+        _move_the_last_image_next_to_a_far_word,
+        "the lattice step from word 24 to 29 is not a switch",
+    ),
     "grid: drop an edge": ("grid_base", _drop_an_edge, "18 geodesics but 30 words"),
     "grid: add a chord": ("grid_base", _add_a_chord, "3 geodesics but 30 words"),
     "grid: swap two names": ("grid_base", _swap_two_names, "not a unit step"),
@@ -721,6 +736,11 @@ GRID_DAMAGE = {
     ),
     "geodesics: reverse the rows": (
         "geodesic_matrix", lambda g: g[::-1], "geodesic 0 does not decode to word 29"
+    ),
+    "geodesics: swap the last two rows": (
+        "geodesic_matrix",
+        lambda g: g[[*range(len(g) - 2), len(g) - 1, len(g) - 2]],
+        "geodesic 28 does not decode to word 1",
     ),
     "geodesics: shift every id of one row": (
         # the steps, and so the decode, are unchanged
@@ -762,6 +782,45 @@ def test_grid_embedding_check_needs_exactly_one_differing_vertex(monkeypatch):
     assert report.witness == (
         "words 0 and 1 are one lattice step apart but their geodesics differ in 0 vertices"
     )
+
+
+@pytest.mark.parametrize("damage", GRID_DAMAGE)
+def test_grid_embedding_check_fails_on_damaged_input_in_blocks_of_three(monkeypatch, damage):
+    # every blocked loop of the certificate then spans several blocks, the
+    # last one partial where the row or step count is not a multiple of 3
+    import spgraphs.verify
+
+    monkeypatch.setattr(spgraphs.verify, "_BLOCK", 3)
+    test_grid_embedding_check_fails_on_damaged_input(monkeypatch, damage)
+
+
+def test_grid_embedding_check_needs_exactly_one_differing_vertex_in_blocks_of_three(monkeypatch):
+    # one lattice step: a single partial block
+    import spgraphs.verify
+
+    monkeypatch.setattr(spgraphs.verify, "_BLOCK", 3)
+    test_grid_embedding_check_needs_exactly_one_differing_vertex(monkeypatch)
+
+
+def test_the_grid_certificate_traces_at_most_20_bytes_per_word_move():
+    # 1^9: 362,880 words of 9 moves. No temporary of the check may cover
+    # every lattice step (1,451,520) in intp, and the coordinates are gone
+    # before the geodesic matrix is built
+    spec = GridSpec((1,) * 9)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        floor = tracemalloc.get_traced_memory()[0]
+        report = check_grid_embedding(spec)
+        peak = tracemalloc.get_traced_memory()[1] - floor
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert report.passed, report
+    word_moves = spec.word_count() * spec.total_moves
+    assert peak <= 20 * word_moves, f"{peak / word_moves:.1f} bytes per word-move"
 
 
 def test_staircase_and_cayley_checks():
