@@ -387,36 +387,53 @@ def enumerate_geodesics(
 
 def geodesic_matrix(dag: GeodesicDag) -> np.ndarray:
     """All geodesics as an int32 matrix of vertex ids (see ``names``): one
-    row per geodesic, in the order of ``enumerate_geodesics``.
-
-    The DAG is expanded one layer at a time: every partial path is
-    replaced by its extensions along the successor lists, keeping only a
-    parent pointer and the new vertex per layer; the columns are then read
-    back from the last layer. Callers guard the size with ``guarded_count``.
+    row per geodesic, in the order of ``enumerate_geodesics``. It stacks
+    the columns of ``_geodesic_columns``; callers guard the size with
+    ``guarded_count``.
 
     >>> from .graphs import complete_bipartite_graph
     >>> dag = build_dag(BaseInstance(complete_bipartite_graph(2, 2), "a0", "a1"))
     >>> [[dag.names[v] for v in row] for row in geodesic_matrix(dag).tolist()]
     [['a0', 'b0', 'a1'], ['a0', 'b1', 'a1']]
     """
-    indptr, indices = dag.csr
-    head = np.array([dag.names.index(dag.instance.source)], dtype=np.int32)
-    layers = [(np.zeros(1, dtype=np.int64), head)]
+    return np.stack(_geodesic_columns(dag), axis=1)
+
+
+def _geodesic_columns(dag: GeodesicDag) -> list[np.ndarray]:
+    """All geodesics as one int32 array of vertex ids per path position,
+    rows in the order of ``enumerate_geodesics``.
+
+    The DAG is expanded one layer at a time, keeping only an int32 parent
+    pointer and the new vertex per partial path; ``_extend``'s int64
+    temporaries go when it returns, before the columns are read back from
+    the last layer. Each layer is dropped once read.
+    """
+    source = np.array([dag.names.index(dag.instance.source)], dtype=np.int32)
+    layers = [(np.zeros(1, dtype=np.int32), source)]
     for _ in range(dag.d):
-        start = indptr[head]
-        degree = indptr[head + 1] - start
-        parent = np.repeat(np.arange(head.size), degree)
-        # offset of each child within its parent's successor list
-        offset = np.arange(parent.size) - (np.cumsum(degree) - degree)[parent]
-        head = indices[start[parent] + offset]
-        layers.append((parent, head))
-    rows = np.arange(head.size)
-    matrix = np.empty((head.size, dag.d + 1), dtype=np.int32)
-    for col in range(dag.d, -1, -1):
-        parent, vertex = layers[col]
-        matrix[:, col] = vertex[rows]
-        rows = parent[rows]
-    return matrix
+        layers.append(_extend(*dag.csr, layers[-1][1]))
+    rows = np.arange(layers[-1][1].size)
+    columns = []
+    while layers:
+        parent, vertex = layers.pop()
+        columns.append(vertex[rows])
+        # intp rows spare numpy a conversion at every gather
+        rows = parent[rows].astype(np.intp)
+    return columns[::-1]
+
+
+def _extend(
+    indptr: np.ndarray, indices: np.ndarray, head: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every extension of the partial paths ending at ``head`` along the
+    successor lists, smallest successor first: an int32 parent pointer and
+    the new last vertex of each."""
+    start = indptr[head]
+    degree = indptr[head + 1] - start
+    parent = np.repeat(np.arange(head.size), degree)
+    # offset of each child within its parent's successor list
+    offset = np.arange(parent.size) - (np.cumsum(degree) - degree)[parent]
+    return parent.astype(np.int32), indices[start[parent] + offset]
 
 
 def count_spg_edges(dag: GeodesicDag) -> int:

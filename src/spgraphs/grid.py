@@ -134,31 +134,24 @@ class LatticePoint:
             raise GraphError(witness)
 
 
-def image_violation(spec: GridSpec, cols: np.ndarray) -> str | None:
+def image_violation(spec: GridSpec, cols: Sequence[np.ndarray]) -> str | None:
     """The first coordinate, in layout order, where a point breaks a
     necessary image condition, or None when every point meets them.
 
-    ``cols`` holds one row per coordinate and one column per point. The
+    ``cols`` holds one row per coordinate and one column per point: a list
+    of equal-length arrays or a 2-D array, read one row at a time. The
     conditions are the bounds 0 <= a_ijk <= n_i and, for fixed i and j,
     weakly decreasing in k; a coordinate that breaks both is reported as
     out of bounds.
     """
-    layout = spec.coordinate_layout()
-    bound = np.array([spec.dims[i - 1] for (i, j, k) in layout], dtype=np.int64)
-    leaves = (cols.min(axis=1) < 0) | (cols.max(axis=1) > bound)
-    first = np.array([k == 1 for (i, j, k) in layout], dtype=bool)
-    exceeds = np.zeros_like(leaves)
-    if not first.all():
-        exceeds[1:] = (cols[1:] > cols[:-1]).any(axis=1)
-        exceeds &= ~first
-    bad = leaves | exceeds
-    if not bool(bad.any()):
-        return None
-    c = int(np.argmax(bad))
-    i, j, k = layout[c]
-    if leaves[c]:
-        return f"coordinate ({i},{j},{k}) leaves 0..{spec.dims[i - 1]}"
-    return f"coordinate ({i},{j},{k}) exceeds ({i},{j},{k - 1})"
+    prev = None
+    for col, (i, j, k) in zip(cols, spec.coordinate_layout()):
+        if col.min() < 0 or col.max() > spec.dims[i - 1]:
+            return f"coordinate ({i},{j},{k}) leaves 0..{spec.dims[i - 1]}"
+        if k > 1 and bool((col > prev).any()):
+            return f"coordinate ({i},{j},{k}) exceeds ({i},{j},{k - 1})"
+        prev = col
+    return None
 
 
 # -- the grid instance ------------------------------------------------------
@@ -195,14 +188,15 @@ def grid_base(spec: GridSpec) -> BaseInstance:
     """
     digits = [[str(c).zfill(len(str(n))) for c in range(n + 1)] for n in spec.dims]
     names = [coord_name(c) for c in product(*digits)]
-    ids = np.arange(len(names)).reshape([n + 1 for n in spec.dims])
-    place = place_values([n + 1 for n in spec.dims]).tolist()
-    edges = []
-    for axis, n in enumerate(spec.dims):
-        # every vertex but those on the axis's far face steps up by its place
-        low = ids.take(range(n), axis=axis).ravel().tolist()
-        edges += [(names[v], names[v + place[axis]]) for v in low]
-    return BaseInstance(Graph(names, edges), names[0], names[-1])
+    shape = [n + 1 for n in spec.dims]
+    # every vertex but those on an axis's far face steps up by the axis's
+    # place. With the last axis (the smallest place) first, the (vertex,
+    # axis) pairs come out sorted by (lo, hi)
+    coords = np.indices(shape).reshape(spec.m, -1)
+    below = (coords < np.array(spec.dims)[:, None])[::-1]
+    lo, axis = np.nonzero(below.T)
+    hi = lo + place_values(shape)[::-1][axis]
+    return BaseInstance(Graph._from_ids(tuple(names), lo, hi), names[0], names[-1])
 
 
 # -- word enumeration ------------------------------------------------------
@@ -278,41 +272,58 @@ def words_array(spec: GridSpec) -> np.ndarray:
     Built one column at a time: each prefix is extended by every symbol it
     has left, smallest first, and keeps a parent pointer; the rows are then
     read back from the last column. The symbols each prefix has left are
-    counted in the smallest unsigned type that holds the longest axis.
+    counted in the smallest unsigned type that holds the longest axis, and
+    each column keeps its parent pointers as int32 and its symbols as
+    uint8 (a layer holds at most the word count, which every caller
+    bounds by the geodesic limit, far below 2**31).
     """
     remaining = np.array([spec.dims], dtype=np.min_scalar_type(max(spec.dims)))
     layers = []
     for _ in range(spec.total_moves):
-        parent, axis = np.nonzero(remaining > 0)
+        parent, axis = np.divmod(np.flatnonzero(remaining), spec.m)
         remaining = remaining[parent]
-        remaining[np.arange(parent.size), axis] -= 1
-        layers.append((parent, axis + 1))
+        # flat indices into the C-order copy: one fancy index, not two
+        remaining.reshape(-1)[np.arange(0, parent.size * spec.m, spec.m) + axis] -= 1
+        layers.append((parent.astype(np.int32), (axis + 1).astype(np.uint8)))
     rows = np.arange(remaining.shape[0])
     arr = np.empty((rows.size, spec.total_moves), dtype=np.uint8)
     for col in range(spec.total_moves - 1, -1, -1):
         parent, symbol = layers[col]
         arr[:, col] = symbol[rows]
-        rows = parent[rows]
+        # intp rows spare numpy a conversion at every gather
+        rows = parent[rows].astype(np.intp)
     return arr
 
 
 def phi_batch(spec: GridSpec, words: np.ndarray) -> np.ndarray:
-    """Row-wise ``phi`` over a word array; returns int16 coordinates, or
-    a wider type when some axis is longer than int16 can count.
+    """Row-wise ``phi`` over a word array: one row of coordinates per word,
+    in the smallest unsigned type that holds the longest axis (uint8 up to
+    255 moves, uint16 up to 65,535).
 
     The result is the transpose of a C-order (coordinate, word) array, so
-    each coordinate column is contiguous. Coordinate (i, j, k) counts the
-    i positions after the position of the k-th j, one whole-column
-    comparison per pair of an i occurrence and a j occurrence. Positions
-    are held within the word, in the smallest unsigned type that holds
-    them. A row without the symbol counts of a word raises GraphError
-    naming it.
+    each coordinate column is contiguous: it stacks the rows of
+    ``_phi_rows``. A row without the symbol counts of a word raises
+    GraphError naming it.
+    """
+    rows = _phi_rows(spec, words)
+    if not rows:
+        return np.empty((words.shape[0], 0), dtype=np.min_scalar_type(max(spec.dims)))
+    return np.stack(rows).T
+
+
+def _phi_rows(spec: GridSpec, words: np.ndarray) -> list[np.ndarray]:
+    """``phi`` of every word as one array per coordinate, in layout order,
+    each in the smallest unsigned type that holds the longest axis.
+
+    Coordinate (i, j, k) counts the i positions after the position of the
+    k-th j, one whole-column comparison per pair of an i occurrence and a
+    j occurrence. Positions are held within the word, in the smallest
+    unsigned type that holds them. A row without the symbol counts of a
+    word raises GraphError naming it.
     """
     count, n = words.shape
     if n != spec.total_moves:
         raise GraphError(f"word array has {n} columns, expected {spec.total_moves}")
-    dtype = np.promote_types(np.int16, np.min_scalar_type(max(spec.dims)))
-    out = np.empty((spec.embedding_dim, count), dtype=dtype)
     # split the flat indices of the hits of s into blocks of d = dims[s - 1],
     # in order: every word holds exactly d copies of s when there are
     # count * d hits and the first and last hit of block q lie in word q.
@@ -334,18 +345,18 @@ def phi_batch(spec: GridSpec, words: np.ndarray) -> np.ndarray:
         rows = hits.reshape(count, d)
         rows -= start[:, None]
         pos.append(rows.T.astype(in_word, order="C"))
+    dtype = np.min_scalar_type(max(spec.dims))
     after = np.empty(count, dtype=bool)
-    col = 0
+    out = []
     for j in range(2, spec.m + 1):
         for i in range(1, j):
             for at_j in pos[j - 1]:
-                row = out[col]
-                row[:] = 0
+                row = np.zeros(count, dtype=dtype)
                 for at_i in pos[i - 1]:
                     np.greater(at_i, at_j, out=after)
                     row += after
-                col += 1
-    return out.T
+                out.append(row)
+    return out
 
 
 # -- staircases, permutations, tournaments -----------------------------------

@@ -86,12 +86,14 @@ class SpGraph:
     (``edge_arrays``), which ``build_spg`` stores from ``MATRIX_CUTOFF``
     geodesics on, and ``spg_from_json`` for the edges. Each of the four
     is derived from the other form on first read and kept; the writers
-    read the array form.
+    read the array form. ``spg_from_json`` also stores the edge arrays in
+    input order, and ``edge_index`` is then derived from them, so that it
+    keeps the order of the file.
     """
 
     __slots__ = (
         "d", "num_vertices", "num_edges",
-        "_geodesics", "_edge_index", "_names", "_rows", "_edges", "_bits",
+        "_geodesics", "_edge_index", "_names", "_rows", "_edges", "_input_edges", "_bits",
     )
 
     def __init__(
@@ -118,12 +120,14 @@ class SpGraph:
         edge_index: dict[tuple[int, int], int] | None = None, *,
         names: tuple[str, ...] | None = None, rows: np.ndarray | None = None,
         edges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        input_edges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self.d = d
         self.num_vertices: int = len(geodesics if rows is None else rows)
         self.num_edges: int = len(edge_index) if edges is None else edges[0].size
         self._geodesics, self._edge_index = geodesics, edge_index
         self._names, self._rows, self._edges = names, rows, edges
+        self._input_edges = input_edges
         self._bits: list[int] | None = None
 
     @classmethod
@@ -146,7 +150,7 @@ class SpGraph:
     @property
     def edge_index(self) -> dict[tuple[int, int], int]:
         if self._edge_index is None:
-            u, w, pos = self._edges
+            u, w, pos = self._edges if self._input_edges is None else self._input_edges
             self._edge_index = dict(zip(zip(u.tolist(), w.tolist()), pos.tolist()))
         return self._edge_index
 
@@ -464,14 +468,14 @@ def spg_from_json(text: str) -> SpGraph:
     if columns is None:
         return SpGraph(geodesics, _edge_index(records))
     lo, hi, pos, order = columns
-    # the edge index in input order, as SpGraph keeps it
-    edge_index = dict(zip(zip(lo.tolist(), hi.tolist()), pos.tolist()))
     geos, d = _checked_geodesics(geodesics, None)
     if lo.size and not (lo.min() >= 0 and hi.max() < len(geos) and (lo < hi).all()
                         and pos.min() >= 1 and pos.max() < d):
-        return SpGraph(geos, edge_index)  # names the first edge out of range
+        # SpGraph names the first edge out of range, in input order
+        return SpGraph(geos, dict(zip(zip(lo.tolist(), hi.tolist()), pos.tolist())))
+    # the edge index is made on first read, in input order, as SpGraph keeps it
     return SpGraph._trusted(
-        d, geodesics=geos, edge_index=edge_index, edges=(lo[order], hi[order], pos[order])
+        d, geodesics=geos, edges=(lo[order], hi[order], pos[order]), input_edges=(lo, hi, pos)
     )
 
 

@@ -34,9 +34,9 @@ from .constructions import (
 from .geodesics import (
     DEFAULT_GEODESIC_LIMIT,
     GeodesicOverflowError,
+    _geodesic_columns,
     build_dag,
     count_spg_edges,
-    geodesic_matrix,
     guarded_count,
 )
 from .graphs import (
@@ -56,6 +56,7 @@ from .grid import (
     grid_base,
     image_violation,
     MoveSequence,
+    _phi_rows,
     phi_batch,
     place_values,
     staircase,
@@ -645,11 +646,14 @@ def _embed_grid(
     path graph comes from the grid graph (its geodesics and its DAG); the
     words only propose which pairs to test.
 
-    The working set stays near the word array, the ``phi`` coordinates and
-    the geodesic matrix: the coordinates are released once the lattice
-    steps are found, and the decode and the differ test compare
-    ``_BLOCK`` rows or steps at a time. A failing block is looked at again
-    over the whole arrays only where the witness needs them.
+    No array of the working set is larger than one list of step ends. The
+    ``phi`` coordinates are one array per coordinate (``_phi_rows``), and
+    the step search takes each off its list once it is read. The
+    geodesics are one array per path position (``_geodesic_columns``),
+    read at geodesic ``total - 1 - word``. The decode, the switch test and
+    the differ test compare one column at a time over ``_BLOCK`` rows or
+    steps. A failing block is looked at again over the whole arrays only
+    where the witness needs them.
     """
     name = "grid-embedding-" + "x".join(str(n) for n in spec.dims)
     count = spec.word_count()
@@ -658,9 +662,8 @@ def _embed_grid(
     words = words_array(spec)
     total, n_moves = words.shape
     stats: dict[str, object] = {"words": total, "dimension": spec.embedding_dim}
-    # every row has the symbol counts of a word, or phi_batch raises; one
-    # contiguous row per coordinate
-    cols = np.ascontiguousarray(phi_batch(spec, words).T)
+    # every row has the symbol counts of a word, or _phi_rows raises
+    coords = _phi_rows(spec, words)
 
     def fail(witness: str) -> tuple[CheckReport, tuple[np.ndarray, np.ndarray]]:
         no_edges = np.empty(0, dtype=np.int64)
@@ -674,14 +677,17 @@ def _embed_grid(
         return fail("word enumeration is not strictly lexicographic")
     del keys  # a view: it would keep the words alive past the decode
 
-    witness = image_violation(spec, cols)
+    witness = image_violation(spec, coords)
     if witness is not None:
         return fail(witness)
-    word_edges = _lattice_edges(spec, words, cols)
-    del cols
-    if isinstance(word_edges, str):
-        return fail(word_edges)
-    lu, lv = word_edges
+    # the step search empties coords, one coordinate at a time
+    ends = _lattice_step_ends(spec, coords)
+    if isinstance(ends, str):
+        return fail(ends)
+    witness = _switch_violation(words, *ends)
+    if witness is not None:
+        return fail(witness)
+    lu, lv = ends
     stats["edges"] = int(lu.size)
 
     # the shortest path graph side, from the grid graph: a unit step along
@@ -692,33 +698,40 @@ def _embed_grid(
     n_geodesics = guarded_count(dag, limit)
     if n_geodesics != total:
         return fail(f"{n_geodesics} geodesics but {total} words")
-    matrix = geodesic_matrix(dag)
+    columns = _geodesic_columns(dag)
     place = place_values([n + 1 for n in spec.dims]).astype(np.int32)
     backwards = words[::-1]
     for row in range(0, total, _BLOCK):
         rows = slice(row, row + _BLOCK)
-        if not np.array_equal(np.diff(matrix[rows], axis=1), place[backwards[rows] - 1]):
+        if not all(
+            np.array_equal(columns[t + 1][rows] - columns[t][rows], place[backwards[rows, t] - 1])
+            for t in range(n_moves)
+        ):
             # the witness names the first odd row of all, then the first
             # row that decodes wrong
-            steps = np.diff(matrix, axis=1)
-            odd = ~np.isin(steps, place).all(axis=1)
+            odd = np.zeros(total, dtype=bool)
+            wrong = np.zeros(total, dtype=bool)
+            for t in range(n_moves):
+                step = columns[t + 1] - columns[t]
+                odd |= ~np.isin(step, place)
+                wrong |= step != place[backwards[:, t] - 1]
             if bool(odd.any()):
                 k = int(np.argmax(odd))
                 return fail(f"geodesic {k} has a step that is not a unit step along one axis")
-            k = int(np.argmax((steps != place[backwards - 1]).any(axis=1)))
+            k = int(np.argmax(wrong))
             return fail(f"geodesic {k} does not decode to word {total - 1 - k}")
     del words, backwards
     # every lattice step joins two geodesics that differ in exactly one
-    # vertex. Column c of inner holds vertex c + 1 of each word's geodesic;
-    # the end vertices are shared by all geodesics
-    inner = np.ascontiguousarray(matrix[::-1, 1:-1].T)
-    del matrix
+    # vertex; the end vertices are shared by all geodesics
+    inner = columns[1:-1]
+    del columns
     for step in range(0, lu.size, _BLOCK):
-        # intp indices spare numpy a conversion at every gather
-        iu, iv = (ends[step : step + _BLOCK].astype(np.intp) for ends in (lu, lv))
-        differ = np.zeros(iu.size, dtype=np.int32)
+        # word w is geodesic total - 1 - w; intp indices spare numpy a
+        # conversion at every gather
+        gu, gv = (total - 1 - ends[step : step + _BLOCK].astype(np.intp) for ends in (lu, lv))
+        differ = np.zeros(gu.size, dtype=np.int32)
         for col in inner:
-            differ += col[iu] != col[iv]
+            differ += col[gu] != col[gv]
         bad = np.flatnonzero(differ != 1)
         if bad.size:
             k = step + int(bad[0])
@@ -731,34 +744,15 @@ def _embed_grid(
     n_edges = count_spg_edges(dag)
     if n_edges != lu.size:
         return fail(f"{n_edges} shortest path graph edges but {lu.size} lattice steps")
-    return CheckReport(name, True, None, stats), word_edges
+    return CheckReport(name, True, None, stats), (lu, lv)
 
 
-def _lattice_edges(
-    spec: GridSpec, words: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | str:
-    """The lattice steps inside the image as two arrays of word numbers
-    (int32 below 2**31 words), lower end and upper end, once they are
-    shown to be the switches; or a failure's witness. Steps come
-    coordinate by coordinate, each in the sorted order of its lower ends'
-    lattice codes. ``words`` must be every word once, each with a word's
-    symbol counts, and ``cols`` their images one coordinate per row,
-    meeting the conditions of ``image_violation``. The switch test reads
-    ``_BLOCK`` steps at a time."""
-    if not spec.embedding_dim:
-        # one axis: a single word, with no switches
-        return (np.empty(0, dtype=np.int64),) * 2
-    ends = _lattice_step_ends(spec, cols)
-    if isinstance(ends, str):
-        return ends
-    # the sort arrays are gone; concatenate one end list at a time and drop
-    # it, so that no end is held twice beside the other list
-    lows, highs = ends
-    del ends
-    lu = np.concatenate(lows)
-    del lows
-    lv = np.concatenate(highs)
-    del highs
+def _switch_violation(words: np.ndarray, lu: np.ndarray, lv: np.ndarray) -> str | None:
+    """The witness of a lattice step that is not a word switch, or of a
+    switch count that differs from the step count; None when the steps are
+    exactly the switches. ``words`` must be every word once, each with a
+    word's symbol counts, and ``(lu, lv)`` the steps as pairs of word
+    numbers. The switch test reads ``_BLOCK`` steps at a time."""
     # a step is a switch when its two words differ in exactly two positions
     # and those are adjacent: with equal symbol counts, the two symbols there
     # are swapped. Read one contiguous word column at a time
@@ -785,29 +779,39 @@ def _lattice_edges(
     unequal = int(np.count_nonzero(wcols[1:] != wcols[:-1]))
     if 2 * lu.size != unequal:
         return f"{lu.size} lattice steps inside the image but {unequal // 2} word switches"
-    return lu, lv
+    return None
 
 
 def _lattice_step_ends(
-    spec: GridSpec, cols: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]] | str:
-    """The lower and the upper ends of the lattice steps inside the image,
-    one array per coordinate, or the witness of a collision. The lattice
-    codes and their sort live only in here."""
-    total = cols.shape[1]
+    spec: GridSpec, coords: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray] | str:
+    """The lattice steps inside the image as two arrays of word numbers
+    (int32 below 2**31 words), lower end and upper end; or the witness of
+    a collision. Steps come coordinate by coordinate, each in the sorted
+    order of its lower ends' lattice codes. ``coords`` holds the images,
+    one array per coordinate, meeting the conditions of
+    ``image_violation``; once the codes are sorted, each coordinate is
+    taken off the list when it is read, so that the step ends take the
+    place of the coordinates. The lattice codes and their sort live only
+    in here."""
+    if not coords:
+        # one axis: a single word, with no switches
+        return (np.empty(0, dtype=np.int64),) * 2
+    total = coords[0].size
     layout = spec.coordinate_layout()
     # coordinate (i, j, k) lies in 0..n_i, so radix n_i + 1 packs a point
     radixes = [spec.dims[i - 1] + 1 for (i, j, k) in layout]
     if math.prod(radixes) < 2**63:
         mult = place_values(radixes)
         codes = np.zeros(total, dtype=np.int64)
+        for col, place in zip(coords, mult):
+            codes += col * place
     else:
         # too wide for int64 (1x63 needs 2^63 codes): exact Python ints
         mult = np.array([math.prod(radixes[c + 1:]) for c in range(len(radixes))], dtype=object)
         codes = np.zeros(total, dtype=object)
-        cols = cols.astype(object)
-    for col, place in zip(cols, mult):
-        codes += col * place
+        for col, place in zip(coords, mult):
+            codes += col.astype(object) * place
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
     del codes
@@ -815,8 +819,7 @@ def _lattice_step_ends(
     if bool(dup.any()):
         r = int(np.nonzero(dup)[0][0])
         return f"embedding collides on words {int(order[r])} and {int(order[r + 1])}"
-    # int32 word numbers below 2**31 words halve every step end, and what
-    # the caller holds while the geodesic matrix is built
+    # int32 word numbers below 2**31 words halve every step end
     ends_of = order.astype(np.int32) if total < 2**31 else order
     # query from the lower end of each step only the points that can rise:
     # below the bound, so the raised coordinate carries into no other, and,
@@ -825,7 +828,7 @@ def _lattice_step_ends(
     highs: list[np.ndarray] = []
     prev = None
     for c, (i, j, k) in enumerate(layout):
-        col = cols[c][order]
+        col = coords.pop(0)[order]
         rise = col < spec.dims[i - 1]
         if k > 1:
             rise &= col < prev
@@ -837,7 +840,12 @@ def _lattice_step_ends(
         hit = sorted_codes[np.minimum(pos, total - 1)] == qcodes
         lows.append(ends_of[at[hit]])
         highs.append(ends_of[pos[hit]])
-    return lows, highs
+    # drop the sort, then concatenate one end list at a time and drop it,
+    # so that no end is held twice beside the other list
+    del order, sorted_codes, ends_of
+    lu = np.concatenate(lows)
+    del lows
+    return lu, np.concatenate(highs)
 
 
 def check_staircase(

@@ -84,6 +84,12 @@ MUTANTS = (
          "tests/test_spg.py::test_matrix_and_dict_paths_agree_on_families"),
     ),
     Mutant(
+        "loaded-edge-index-in-sorted-order", "spg.py",
+        "u, w, pos = self._edges if self._input_edges is None else self._input_edges",
+        "u, w, pos = self._edges",
+        ("tests/test_cli.py::test_a_loaded_spg_file_keeps_its_edge_order_and_its_first_witness",),
+    ),
+    Mutant(
         "spg-geodesics-from-rows-reversed", "spg.py",
         "tuple(map(names.__getitem__, row)) for row in rows)",
         "tuple(map(names.__getitem__, row[::-1])) for row in rows)",
@@ -304,9 +310,22 @@ MUTANTS = (
     ),
     Mutant(
         "grid-certificate-skips-the-decoding", "verify.py",
-        "        if not np.array_equal(np.diff(matrix[rows], axis=1), place[backwards[rows] - 1]):",
-        "        if False:",
+        "            np.array_equal(columns[t + 1][rows] - columns[t][rows], place[backwards[rows, t] - 1])",
+        "            True",
         ("tests/test_verify.py::test_grid_embedding_check_fails_on_damaged_input",),
+    ),
+    # -- the working set of the grid certificate -------------------------------
+    Mutant(
+        "coordinates-kept-through-the-switch-test", "verify.py",
+        "        col = coords.pop(0)[order]",
+        "        col = coords[c][order]",
+        ("tests/test_verify.py::test_the_grid_certificate_traces_at_most_14_bytes_per_word_move",),
+    ),
+    Mutant(
+        "phi-coordinates-widened-to-int16", "grid.py",
+        "    dtype = np.min_scalar_type(max(spec.dims))\n",
+        "    dtype = np.promote_types(np.int16, np.min_scalar_type(max(spec.dims)))\n",
+        ("tests/test_grid.py::test_phi_batch_counts_in_the_smallest_unsigned_type_for_the_longest_axis",),
     ),
     # -- the blocked loops of the grid certificate -----------------------------
     Mutant(

@@ -513,6 +513,30 @@ def test_verify_decomp_spg_file_checks_the_given_index(capsys, tmp_path):
     assert out.startswith("decomposition@2: FAIL [edge (0, 1) with index 2 is inconsistent")
 
 
+def test_a_loaded_spg_file_keeps_its_edge_order_and_its_first_witness(capsys, tmp_path):
+    # the edges in reverse sorted order, the first and the last relabelled
+    # so that each is inconsistent with the grouping at 2: the witness is
+    # the edge that comes first in the file, not the first in sorted order
+    h = build_spg(hypercube_base(3).instance)
+    records = [
+        {"u": u, "w": w, "index": p} for (u, w), p in sorted(h.edge_index.items(), reverse=True)
+    ]
+    for k in (0, -1):
+        records[k]["index"] = 1 if records[k]["index"] == 2 else 2
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps({"geodesics": [list(g) for g in h.geodesics], "edges": records}))
+    loaded = spg_from_json(path.read_text())
+    assert list(loaded.edge_index) == [(e["u"], e["w"]) for e in records]
+    assert loaded.sorted_edges() == sorted(h.edge_index)
+    code, out, _ = _run(capsys, ["verify", "decomp", "--spg", str(path), "--index", "2"])
+    first = records[0]
+    assert code == 1
+    assert out.startswith(
+        f"decomposition@2: FAIL [edge ({first['u']}, {first['w']}) with index {first['index']} "
+        "is inconsistent"
+    )
+
+
 def test_verify_corpus_flag_validation(capsys):
     code, _, err = _run(capsys, ["verify", "all"])
     assert code == 2

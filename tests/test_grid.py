@@ -234,20 +234,27 @@ def test_phi_batch_matches_the_oracle_on_every_small_grid():
         spec = GridSpec(dims)
         words = words_array(spec)
         coords = phi_batch(spec, words)
-        assert coords.dtype == np.int16
+        assert coords.dtype == np.uint8
         assert coords.shape == (spec.word_count(), spec.embedding_dim)
         expected = [oracles.brute_phi(dims, tuple(word)) for word in words.tolist()]
         assert [tuple(row) for row in coords.tolist()] == expected, dims
 
 
-@pytest.mark.parametrize("dims", [(40000, 1), (300, 2), (2, 300, 1)])
-def test_phi_batch_widens_only_for_long_axes(dims):
-    # int16 unless an axis is 256 moves or longer, where the rule widens to int32
+@pytest.mark.parametrize(
+    "dims, dtype",
+    [
+        ((255, 1), np.uint8), ((2, 255), np.uint8), ((256, 1), np.uint16), ((1, 256), np.uint16),
+        ((300, 2), np.uint16), ((2, 300, 1), np.uint16), ((40000, 1), np.uint16),
+        ((65535, 1), np.uint16), ((65536, 1), np.uint32),
+    ],
+)
+def test_phi_batch_counts_in_the_smallest_unsigned_type_for_the_longest_axis(dims, dtype):
+    # uint8 below 256 moves per axis, uint16 below 65,536
     letters = [s for s, n in enumerate(dims, start=1) for _ in range(n)]
     rng = random.Random(len(letters))
     words = [letters, letters[::-1]] + [rng.sample(letters, len(letters)) for _ in range(3)]
     coords = phi_batch(GridSpec(dims), np.array(words, dtype=np.uint8))
-    assert coords.dtype == np.int32
+    assert coords.dtype == dtype
     assert [tuple(row) for row in coords.tolist()] == [
         oracles.brute_phi(dims, tuple(word)) for word in words
     ]

@@ -596,50 +596,64 @@ def test_grid_embedding_check_packs_wide_lattice_points_exactly(dims, words, edg
     assert (report.stats["words"], report.stats["edges"]) == (words, edges)
 
 
+# The phi damages take and give one array per coordinate, and the geodesic
+# damages one array per path position; a word's image and a geodesic are
+# one entry of every array.
+
+
+def _each(spoil):
+    """Apply the same damage to every column."""
+    return lambda columns: [spoil(col) for col in columns]
+
+
 @pytest.mark.parametrize(
     "damage, witness",
     [
-        (lambda c: np.concatenate([c[:1], c[:1], c[2:]]), "collides"),
-        (lambda c: c[[1, 0, *range(2, len(c))]], "is not a switch"),
+        (_each(lambda c: np.concatenate([c[:1], c[:1], c[2:]])), "collides"),
+        (_each(lambda c: c[[1, 0, *range(2, len(c))]]), "is not a switch"),
     ],
 )
 def test_wide_lattice_codes_still_catch_damage(monkeypatch, damage, witness):
     import spgraphs.verify
 
-    real = spgraphs.verify.phi_batch
-    monkeypatch.setattr(spgraphs.verify, "phi_batch", lambda *args: damage(real(*args)))
+    real = spgraphs.verify._phi_rows
+    monkeypatch.setattr(spgraphs.verify, "_phi_rows", lambda *args: damage(real(*args)))
     report = check_grid_embedding(GridSpec((1, 63)))
     assert not report.passed
     assert witness in report.witness
 
 
+def _set_image(coords, word, point):
+    coords = [col.copy() for col in coords]
+    for col, value in zip(coords, point):
+        col[word] = value
+    return coords
+
+
 def _lower_one_coordinate(coords):
-    coords = coords.copy()
-    row, col = np.argwhere(coords > 0)[0]
-    coords[row, col] -= 1
+    # the first positive coordinate of the first word that has one
+    coords = [col.copy() for col in coords]
+    word, c = min((int(np.argmax(col > 0)), c) for c, col in enumerate(coords) if col.any())
+    coords[c][word] -= 1
     return coords
 
 
 def _move_one_image(coords):
     # in bounds, weakly decreasing and outside the image: word 4 loses its
     # lattice steps and gains none
-    coords = coords.copy()
-    coords[4] = (0, 1, 1, 0, 0)
-    return coords
+    return _set_image(coords, 4, (0, 1, 1, 0, 0))
 
 
 def _move_image_next_to_a_far_swap(coords):
     # word 0 (11233) takes a point one step below the image of word 8
     # (13213): the two rows differ in exactly two positions, not adjacent
-    coords = coords.copy()
-    coords[0] = (1, 0, 0, 1, 0)
-    return coords
+    return _set_image(coords, 0, (1, 0, 0, 1, 0))
 
 
 def _push_past_the_bound(coords):
     # (1,2,1) counts the 1's after the only 2: at most n_1 = 2
-    coords = coords.copy()
-    coords[0, 0] = 3
+    coords = [col.copy() for col in coords]
+    coords[0][0] = 3
     return coords
 
 
@@ -647,9 +661,9 @@ def _break_two_columns(coords):
     # word 0 takes (2,3,2) past n_2 = 1 and word 1 raises (1,3,2) over
     # (1,3,1): the earlier coordinate of the layout is the witness, not the
     # earlier word
-    coords = coords.copy()
-    coords[0, 4] = 2
-    coords[1, 2] = coords[1, 1] + 1
+    coords = [col.copy() for col in coords]
+    coords[4][0] = 2
+    coords[2][1] = coords[1][1] + 1
     return coords
 
 
@@ -657,9 +671,7 @@ def _move_the_last_image_next_to_a_far_word(coords):
     # word 29 (33211) takes the point one step above the image of word 24
     # (32113) in coordinate (2,3,2): the last of the 47 lattice steps, and
     # the rows differ in four positions
-    coords = coords.copy()
-    coords[29] = (2, 2, 0, 1, 1)
-    return coords
+    return _set_image(coords, 29, (2, 2, 0, 1, 1))
 
 
 def _swap_two_names(inst):
@@ -695,36 +707,36 @@ GRID_DAMAGE = {
         "words_array", lambda w: w[[0, 0, *range(2, len(w))]], "not strictly lexicographic"
     ),
     "phi: two rows collide": (
-        "phi_batch", lambda c: np.concatenate([c[:1], c[:1], c[2:]]), "collides"
+        "_phi_rows", _each(lambda c: np.concatenate([c[:1], c[:1], c[2:]])), "collides"
     ),
-    "phi: lower one coordinate": ("phi_batch", _lower_one_coordinate, "collides"),
-    "phi: reverse the columns": ("phi_batch", lambda c: c[:, ::-1], "exceeds"),
+    "phi: lower one coordinate": ("_phi_rows", _lower_one_coordinate, "collides"),
+    "phi: reverse the columns": ("_phi_rows", lambda coords: coords[::-1], "exceeds"),
     "phi: push past the bound": (
-        "phi_batch", _push_past_the_bound, "coordinate (1,2,1) leaves 0..2"
+        "_phi_rows", _push_past_the_bound, "coordinate (1,2,1) leaves 0..2"
     ),
     "phi: break an earlier and a later column": (
-        "phi_batch", _break_two_columns, "coordinate (1,3,2) exceeds (1,3,1)"
+        "_phi_rows", _break_two_columns, "coordinate (1,3,2) exceeds (1,3,1)"
     ),
     "phi: swap two images": (
-        "phi_batch", lambda c: c[[1, 0, *range(2, len(c))]], "is not a switch"
+        "_phi_rows", _each(lambda c: c[[1, 0, *range(2, len(c))]]), "is not a switch"
     ),
     "phi: swap images three positions apart": (
         # word 2 (11332) lands one step from word 3 (12133): three positions
         # differ, two of them adjacent
-        "phi_batch",
-        lambda c: c[[2, 1, 0, *range(3, len(c))]],
+        "_phi_rows",
+        _each(lambda c: c[[2, 1, 0, *range(3, len(c))]]),
         "the lattice step from word 2 to 3 is not a switch",
     ),
     "phi: move an image next to a far swap": (
-        "phi_batch",
+        "_phi_rows",
         _move_image_next_to_a_far_swap,
         "the lattice step from word 0 to 8 is not a switch",
     ),
     "phi: move one image": (
-        "phi_batch", _move_one_image, "45 lattice steps inside the image but 48 word switches"
+        "_phi_rows", _move_one_image, "45 lattice steps inside the image but 48 word switches"
     ),
     "phi: move the last image next to a far word": (
-        "phi_batch",
+        "_phi_rows",
         _move_the_last_image_next_to_a_far_word,
         "the lattice step from word 24 to 29 is not a switch",
     ),
@@ -732,20 +744,22 @@ GRID_DAMAGE = {
     "grid: add a chord": ("grid_base", _add_a_chord, "3 geodesics but 30 words"),
     "grid: swap two names": ("grid_base", _swap_two_names, "not a unit step"),
     "geodesics: swap two rows": (
-        "geodesic_matrix", lambda g: g[[1, 0, *range(2, len(g))]], "geodesic 0 does not decode"
+        "_geodesic_columns",
+        _each(lambda g: g[[1, 0, *range(2, len(g))]]),
+        "geodesic 0 does not decode",
     ),
     "geodesics: reverse the rows": (
-        "geodesic_matrix", lambda g: g[::-1], "geodesic 0 does not decode to word 29"
+        "_geodesic_columns", _each(lambda g: g[::-1]), "geodesic 0 does not decode to word 29"
     ),
     "geodesics: swap the last two rows": (
-        "geodesic_matrix",
-        lambda g: g[[*range(len(g) - 2), len(g) - 1, len(g) - 2]],
+        "_geodesic_columns",
+        _each(lambda g: g[[*range(len(g) - 2), len(g) - 1, len(g) - 2]]),
         "geodesic 28 does not decode to word 1",
     ),
     "geodesics: shift every id of one row": (
         # the steps, and so the decode, are unchanged
-        "geodesic_matrix",
-        lambda g: np.concatenate([g[:1] + 1, g[1:]]),
+        "_geodesic_columns",
+        _each(lambda g: np.concatenate([g[:1] + 1, g[1:]])),
         "words 28 and 29 are one lattice step apart but their geodesics differ in 4 vertices",
     ),
     "count: one edge too many": (
@@ -771,13 +785,14 @@ def test_grid_embedding_check_needs_exactly_one_differing_vertex(monkeypatch):
     # geodesic 1 keeps the steps (the decode passes) and the edge count
     import spgraphs.verify
 
-    real = spgraphs.verify.geodesic_matrix
+    real = spgraphs.verify._geodesic_columns
 
     def moved(dag):
-        g = real(dag)
-        return np.concatenate([g[:1] + (g[1, 1] - g[0, 1]), g[1:]])
+        columns = real(dag)
+        shift = columns[1][1] - columns[1][0]
+        return [np.concatenate([g[:1] + shift, g[1:]]) for g in columns]
 
-    monkeypatch.setattr(spgraphs.verify, "geodesic_matrix", moved)
+    monkeypatch.setattr(spgraphs.verify, "_geodesic_columns", moved)
     report = check_grid_embedding(GridSpec((1, 1)))
     assert report.witness == (
         "words 0 and 1 are one lattice step apart but their geodesics differ in 0 vertices"
@@ -802,10 +817,11 @@ def test_grid_embedding_check_needs_exactly_one_differing_vertex_in_blocks_of_th
     test_grid_embedding_check_needs_exactly_one_differing_vertex(monkeypatch)
 
 
-def test_the_grid_certificate_traces_at_most_20_bytes_per_word_move():
+def test_the_grid_certificate_traces_at_most_14_bytes_per_word_move():
     # 1^9: 362,880 words of 9 moves. No temporary of the check may cover
-    # every lattice step (1,451,520) in intp, and the coordinates are gone
-    # before the geodesic matrix is built
+    # every lattice step (1,451,520) in intp, the coordinates (uint8, one
+    # array per coordinate) are gone before the geodesics are listed, and
+    # no reversed copy of the geodesics is kept
     spec = GridSpec((1,) * 9)
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -820,7 +836,7 @@ def test_the_grid_certificate_traces_at_most_20_bytes_per_word_move():
             tracemalloc.stop()
     assert report.passed, report
     word_moves = spec.word_count() * spec.total_moves
-    assert peak <= 20 * word_moves, f"{peak / word_moves:.1f} bytes per word-move"
+    assert peak <= 14 * word_moves, f"{peak / word_moves:.1f} bytes per word-move"
 
 
 def test_staircase_and_cayley_checks():
