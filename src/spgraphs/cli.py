@@ -122,9 +122,10 @@ def _banner(args: argparse.Namespace) -> None:
 
 
 def _read_text(path: str) -> str:
-    """The contents of a UTF-8 text file; other bytes are an input error."""
+    """The contents of a UTF-8 text file, less a leading byte-order mark;
+    other bytes are an input error."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise GraphError(f"{path} is not UTF-8 text: {exc}") from exc

@@ -31,8 +31,9 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from json.encoder import encode_basestring_ascii as quote
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -85,24 +86,30 @@ class _EdgeFault(Exception):
         self.template = template
 
 
-def _endpoint_ids(pairs: Sequence[Iterable[object]], index: Mapping[str, int]) -> list[int]:
+def _endpoint_ids(pairs: Sequence[Iterable[object]], index: Mapping[str, int]) -> Sequence[int]:
     """The ids of both ends of every edge, flattened as ``u0, v0, u1, ...``.
 
-    Ends are named by ``str()``; a name that is not a vertex gets an id
-    from ``len(index)`` on, the same one at each of its occurrences."""
-    get = index.get
-    ends = [get(x, -1) for u, v in pairs for x in (u, v)]
-    if -1 in ends:
-        n = len(index)
-        extra: dict[str, int] = {}
+    When every pair has exactly two ends, the flattened ends are looked up
+    in one ``itemgetter`` call (the ends of one pair never shift into the
+    next). Otherwise, or on an end that is not a vertex name, the ends are
+    taken pair by pair, as ``_checked_edge_set`` takes them: ends are named
+    by ``str()``, a name that is not a vertex gets an id from
+    ``len(index)`` on, the same one at each of its occurrences, and a pair
+    of another length fails to unpack."""
+    try:
+        if set(map(len, pairs)) == {2}:
+            return itemgetter(*chain.from_iterable(pairs))(index)
+    except (TypeError, KeyError):
+        pass
+    get, n = index.get, len(index)
+    extra: dict[str, int] = {}
 
-        def lookup(x: object) -> int:
-            name = str(x)
-            found = get(name)
-            return extra.setdefault(name, n + len(extra)) if found is None else found
+    def lookup(x: object) -> int:
+        name = str(x)
+        found = get(name)
+        return extra.setdefault(name, n + len(extra)) if found is None else found
 
-        ends = [lookup(x) for u, v in pairs for x in (u, v)]
-    return ends
+    return [lookup(x) for u, v in pairs for x in (u, v)]
 
 
 def _checked_edge_set(
@@ -680,7 +687,12 @@ def graph_from_json(text: str) -> Graph:
 
 def graph_from_value(payload: object) -> Graph:
     """The graph of a decoded graph JSON value, such as an entry of a
-    corpus file; a value of the wrong shape raises GraphError."""
+    corpus file; a value of the wrong shape raises GraphError.
+
+    The edges are checked in whole-list passes, as ``spg_from_json``
+    checks its records: every edge a list, of length two, of strings.
+    Only when a pass fails are the edges walked one by one, to name the
+    first bad edge in input order."""
     if not isinstance(payload, dict):
         raise GraphError("graph JSON must be an object")
     for key in ("vertices", "edges"):
@@ -693,9 +705,10 @@ def graph_from_value(payload: object) -> Graph:
     if not isinstance(edges, list):
         raise GraphError("'edges' must be a list of pairs")
     # json.loads makes exact lists and strs, so exact type tests suffice
-    bad = next((i for i, e in enumerate(edges) if not (
-        type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is str)), None)
-    if bad is not None:
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {str}):
+        bad = next(i for i, e in enumerate(edges) if not (
+            type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is str))
         raise GraphError(f"edge #{bad} must be a pair of vertex ids")
     return Graph(verts, edges)
 

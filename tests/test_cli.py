@@ -537,6 +537,31 @@ def test_a_loaded_spg_file_keeps_its_edge_order_and_its_first_witness(capsys, tm
     )
 
 
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("name, argv, text", [
+    ("k23.json", ["compute", "--a", "a0", "--b", "a1"],
+     graph_to_json(complete_bipartite_graph(2, 3))),
+    ("k23.txt", ["compute", "--a", "a0", "--b", "a1"],
+     "".join(f"{u} {v}\n" for u, v in complete_bipartite_graph(2, 3).sorted_edges())),
+    ("k23.spg.json", ["verify", "all"],
+     spg_to_json(build_spg(BaseInstance(complete_bipartite_graph(2, 3), "a0", "a1")))),
+], ids=["graph JSON", "edge list", "SpGraph JSON"])
+def test_input_files_may_start_with_a_byte_order_mark(capsys, tmp_path, name, argv, text):
+    # the mark is not part of the text: a marked JSON file is still JSON,
+    # and an edge list's first name does not take the mark in
+    runs = []
+    for mark in ("", BOM):
+        path = tmp_path / name
+        path.write_text(mark + text, encoding="utf-8")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf") == bool(mark)
+        flag = "--spg" if argv[0] == "verify" else "--in"
+        runs.append(_run(capsys, [*argv, flag, str(path)]))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
 def test_verify_corpus_flag_validation(capsys):
     code, _, err = _run(capsys, ["verify", "all"])
     assert code == 2

@@ -281,6 +281,19 @@ def test_reduction_of_either_dag_matches_the_geodesic_oracle(inst):
         assert red.collapsed == (source == target)
 
 
+@settings(max_examples=80, deadline=None)
+@given(strategies.instances(max_vertices=8))
+def test_a_contraction_makes_no_parallel_edges(inst):
+    # _reduce_ids only sorts the contracted pair keys: a DAG edge joins
+    # consecutive layers, so the edges into a forced run and those out of
+    # it meet different vertices, and no two edges merge
+    for dag in _both_dags(inst):
+        red = _reduce_ids(dag)
+        image = red.vertex_map
+        pairs = [frozenset((image[u], image[v])) for u, v in dag.edges if image[u] != image[v]]
+        assert len(set(pairs)) == len(pairs) == red.graph.num_edges
+
+
 def test_reduction_of_either_dag_of_a_large_box_with_a_forced_tail():
     box = grid_base(GridSpec((6, 6, 6)))
     corner = box.target

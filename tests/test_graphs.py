@@ -6,6 +6,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import strategies
@@ -222,6 +223,65 @@ def test_graph_json_errors_name_the_same_edge_after_a_long_prefix(text, message)
         with pytest.raises(GraphError) as caught:
             Graph(payload["vertices"], [tuple(e) for e in payload["edges"]])
         assert str(caught.value) == message
+
+
+PREFIX_PAIRS = [tuple(e) for e in PREFIX_EDGES]
+
+
+@pytest.mark.parametrize("tail", [
+    [("p0",)],
+    [("p0", "p1", "p2")],
+    [()],
+    # ends that would line up as two pairs if flattened across edges
+    [("p0",), ("p1", "p2", "p3")],
+    [("p0", "p1", "p2"), ("p3",)],
+])
+def test_an_edge_of_another_length_fails_on_the_id_path_as_on_the_short_one(tail):
+    raised = []
+    for head in (PREFIX_PAIRS[:2], PREFIX_PAIRS):
+        with pytest.raises(ValueError) as caught:
+            Graph(PREFIX_VERTICES, head + tail)
+        raised.append((type(caught.value), str(caught.value)))
+    assert len(PREFIX_PAIRS) >= ID_CUTOFF
+    assert raised[0] == raised[1]
+    assert raised[0][0] is ValueError and "unpack" in raised[0][1]
+
+
+def test_the_id_path_names_ends_that_are_not_strings_by_str():
+    n = ID_CUTOFF + 1
+    ints = [(i, i + 1) for i in range(n)]
+    assert Graph(range(n + 1), ints) == path_graph(n)
+    mixed = [(str(u), v) if u % 2 else (u, str(v)) for u, v in ints]
+    assert Graph(map(str, range(n + 1)), mixed) == path_graph(n)
+    for extra, message in [
+        ((1, 0), "duplicate edge ('1', '0')"),
+        ((0, n + 7), f"edge ('0', '{n + 7}') uses an unknown vertex"),
+        ((2.5, 2.5), "self loop at '2.5'"),
+    ]:
+        with pytest.raises(GraphError) as caught:
+            Graph(range(n + 1), [*ints, extra])
+        assert str(caught.value) == message
+
+
+# ends of faulty edges: vertices, names that are not vertices, ints that
+# str() makes into either, and an unhashable end that str() names
+_ENDS = st.sampled_from(["0", "1", "a", "b", "c", "z"]) | st.integers(0, 2) | st.just(["a"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_ENDS, _ENDS), max_size=8))
+def test_the_id_path_and_the_short_path_name_the_same_fault(pairs):
+    vertices = ["0", "1", "a", "b", "c"]
+    prefix = Graph(PREFIX_VERTICES, PREFIX_PAIRS).edges
+    outcomes = []
+    for head in ([], PREFIX_PAIRS):
+        try:
+            g = Graph([*vertices, *PREFIX_VERTICES], [*head, *pairs])
+        except GraphError as fault:
+            outcomes.append(str(fault))
+        else:
+            outcomes.append(g.edges - prefix)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_a_long_graph_is_stored_as_the_short_one_is():
