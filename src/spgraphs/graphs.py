@@ -687,12 +687,7 @@ def graph_from_json(text: str) -> Graph:
 
 def graph_from_value(payload: object) -> Graph:
     """The graph of a decoded graph JSON value, such as an entry of a
-    corpus file; a value of the wrong shape raises GraphError.
-
-    The edges are checked in whole-list passes, as ``spg_from_json``
-    checks its records: every edge a list, of length two, of strings.
-    Only when a pass fails are the edges walked one by one, to name the
-    first bad edge in input order."""
+    corpus file; a value of the wrong shape raises GraphError."""
     if not isinstance(payload, dict):
         raise GraphError("graph JSON must be an object")
     for key in ("vertices", "edges"):
@@ -705,10 +700,9 @@ def graph_from_value(payload: object) -> Graph:
     if not isinstance(edges, list):
         raise GraphError("'edges' must be a list of pairs")
     # json.loads makes exact lists and strs, so exact type tests suffice
-    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
-            and set(map(type, chain.from_iterable(edges))) <= {str}):
-        bad = next(i for i, e in enumerate(edges) if not (
-            type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is str))
+    bad = next((i for i, e in enumerate(edges) if not (
+        type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is str)), None)
+    if bad is not None:
         raise GraphError(f"edge #{bad} must be a pair of vertex ids")
     return Graph(verts, edges)
 

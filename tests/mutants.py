@@ -352,18 +352,12 @@ MUTANTS = (
         "    @property\n    def _prefix_counts",
         ("tests/test_geodesics.py::test_a_grid_check_orders_the_layers_and_counts_prefixes_once",),
     ),
-    # -- whole-list passes of the graph loader and the sorted reduction --------
+    # -- bulk end lookup of the id path and the sorted reduction ---------------
     Mutant(
         "endpoint-lookup-without-the-pair-lengths", "graphs.py",
         "        if set(map(len, pairs)) == {2}:",
         "        if True:",
         ("tests/test_graphs.py::test_an_edge_of_another_length_fails_on_the_id_path_as_on_the_short_one",),
-    ),
-    Mutant(
-        "graph-json-without-the-length-pass", "graphs.py",
-        " and set(map(len, edges)) <= {2}",
-        "",
-        ("tests/test_graphs.py::test_graph_json_error_messages",),
     ),
     Mutant(
         "reduced-pair-keys-left-unsorted", "geodesics.py",
